@@ -15,7 +15,7 @@
                        (writes BENCH_engine_scaling.json)
      --alloc-gate      only the allocations-per-trial regression gate
                        (exit 1 if the bucket k=1024 hot path allocates
-                       more per trial than the committed seed baseline) *)
+                       more per trial than the committed baseline) *)
 
 let run quick only no_micro micro_only trace_overhead engine_scaling alloc_gate =
   if trace_overhead then begin
@@ -80,7 +80,7 @@ let alloc_gate =
     & info [ "alloc-gate" ]
         ~doc:
           "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 hot \
-           path allocates more bytes per trial than the committed seed baseline.")
+           path allocates more bytes per trial than the committed baseline.")
 
 let cmd =
   let doc = "Regenerate the experiment tables of the PODC'14 set-intersection reproduction." in

@@ -14,10 +14,13 @@ let make_pair ~universe ~k ~overlap =
 let tests () =
   let rng = Prng.Rng.of_int seed in
   let strhash_fn = Strhash.create (Prng.Rng.with_label rng "micro/strhash") ~bits:32 in
-  let cw =
-    Hashing.Carter_wegman.create (Prng.Rng.with_label rng "micro/cw") ~universe:(1 lsl 44)
-      ~range:1024
+  (* Carter-Wegman at two universes, one per arithmetic path: below 2^31
+     the hash is native-int arithmetic; at 2^44 it runs the overflow-safe
+     Int64 shift-and-add [Modarith.mulmod], several times slower. *)
+  let cw_at universe =
+    Hashing.Carter_wegman.create (Prng.Rng.with_label rng "micro/cw") ~universe ~range:1024
   in
+  let cw_native = cw_at (1 lsl 20) and cw_int64 = cw_at (1 lsl 44) in
   let payload = Bitio.Bits.of_string "a-reasonably-long-message-payload-for-hashing" in
   let pair_small = make_pair ~universe:(1 lsl 30) ~k:256 ~overlap:128 in
   let pair_large = make_pair ~universe:(1 lsl 30) ~k:1024 ~overlap:512 in
@@ -32,7 +35,10 @@ let tests () =
   [
     Test.make ~name:"strhash/apply_int" (Staged.stage (fun () -> ignore (Strhash.apply_int strhash_fn 123456789)));
     Test.make ~name:"strhash/apply_string" (Staged.stage (fun () -> ignore (Strhash.apply strhash_fn payload)));
-    Test.make ~name:"carter_wegman/hash" (Staged.stage (fun () -> ignore (Hashing.Carter_wegman.hash cw 987654321)));
+    Test.make ~name:"carter_wegman/hash u=2^20 (native)"
+      (Staged.stage (fun () -> ignore (Hashing.Carter_wegman.hash cw_native 654321)));
+    Test.make ~name:"carter_wegman/hash u=2^44 (int64)"
+      (Staged.stage (fun () -> ignore (Hashing.Carter_wegman.hash cw_int64 987654321)));
     Test.make ~name:"set_codec/gaps k=256"
       (Staged.stage (fun () ->
            let buf = Bitio.Bitbuf.create () in

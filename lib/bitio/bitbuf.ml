@@ -24,20 +24,9 @@ let write_bit t bit =
   end;
   t.length <- t.length + 1
 
-(* OR the low [width] (<= 8 - off headroom handled by caller loop) bits of
-   [v] into the buffer at the current position, whole bytes at a time. *)
 let write_bits_unchecked t ~width v =
   ensure t width;
-  let rec go pos v width =
-    if width > 0 then begin
-      let j = pos lsr 3 and off = pos land 7 in
-      let take = min width (8 - off) in
-      let cur = Char.code (Bytes.get t.data j) in
-      Bytes.set t.data j (Char.chr (cur lor (((v land ((1 lsl take) - 1)) lsl off) land 0xFF)));
-      go (pos + take) (v lsr take) (width - take)
-    end
-  in
-  go t.length v width;
+  Bits.or_into t.data ~pos:t.length ~width v;
   t.length <- t.length + width
 
 let write_bits t ~width v =
@@ -51,7 +40,7 @@ let append t bits =
   ensure t n;
   let pos = ref 0 in
   while !pos < n do
-    let take = min 24 (n - !pos) in
+    let take = Int.min 24 (n - !pos) in
     write_bits_unchecked t ~width:take (Bits.extract bits ~pos:!pos ~width:take);
     pos := !pos + take
   done

@@ -26,17 +26,19 @@ let read_chunk t ~width =
   t.position <- t.position + width;
   v
 
+(* Top level, not a closure local to [read_bits]: without flambda a local
+   [let rec] over [t] and [width] allocates its environment per call. *)
+let rec read_chunks t ~width shift acc =
+  if shift >= width then acc
+  else begin
+    let take = Int.min 24 (width - shift) in
+    read_chunks t ~width (shift + take) (acc lor (read_chunk t ~width:take lsl shift))
+  end
+
 let read_bits t ~width =
   if width < 0 || width > 62 then invalid_arg "Bitreader.read_bits: width";
   if t.position + width > Bits.length t.bits then raise Underflow;
-  let rec loop shift acc =
-    if shift >= width then acc
-    else begin
-      let take = min 24 (width - shift) in
-      loop (shift + take) (acc lor (read_chunk t ~width:take lsl shift))
-    end
-  in
-  loop 0 0
+  read_chunks t ~width 0 0
 
 let read_blob t ~bits =
   if bits < 0 then invalid_arg "Bitreader.read_blob: bits";
@@ -44,19 +46,10 @@ let read_blob t ~bits =
   let buf = Bytes.make ((bits + 7) / 8) '\000' in
   let pos = ref 0 in
   while !pos < bits do
-    let take = min 24 (bits - !pos) in
+    let take = Int.min 24 (bits - !pos) in
     let v = read_chunk t ~width:take in
     (* scatter the chunk into the destination, byte-aligned there *)
-    let rec put dst v width =
-      if width > 0 then begin
-        let j = dst lsr 3 and off = dst land 7 in
-        let bite = min width (8 - off) in
-        let cur = Char.code (Bytes.get buf j) in
-        Bytes.set buf j (Char.chr (cur lor (((v land ((1 lsl bite) - 1)) lsl off) land 0xFF)));
-        put (dst + bite) (v lsr bite) (width - bite)
-      end
-    in
-    put !pos v take;
+    Bits.or_into buf ~pos:!pos ~width:take v;
     pos := !pos + take
   done;
   Bits.unsafe_of_bytes buf ~length:bits

@@ -32,6 +32,25 @@ let extract b ~pos ~width =
     (word lsr off) land ((1 lsl width) - 1)
   end
 
+(* Top level, not a closure local to its callers: without flambda a local
+   [let rec] allocates its environment on every call, and the writers run
+   this once per field. *)
+let rec or_into data ~pos ~width v =
+  if width > 0 then begin
+    let j = pos lsr 3 and off = pos land 7 in
+    let take = Int.min width (8 - off) in
+    let cur = Char.code (Bytes.get data j) in
+    Bytes.set data j (Char.chr (cur lor (((v land ((1 lsl take) - 1)) lsl off) land 0xFF)));
+    or_into data ~pos:(pos + take) ~width:(width - take) (v lsr take)
+  end
+
+let of_int ~width v =
+  if width < 0 || width > 62 then invalid_arg "Bits.of_int: width";
+  if v < 0 || (width < 62 && v lsr width <> 0) then invalid_arg "Bits.of_int: value does not fit width";
+  let data = Bytes.make (byte_count width) '\000' in
+  or_into data ~pos:0 ~width v;
+  { data; length = width }
+
 let of_bools bools =
   let length = List.length bools in
   let data = Bytes.make (byte_count length) '\000' in

@@ -37,6 +37,18 @@ val of_string : string -> t
     index [>= length] in the final byte are zero. *)
 val unsafe_of_bytes : bytes -> length:int -> t
 
+(** [or_into data ~pos ~width v] ORs the low [width] bits of [v] into
+    [data] at bit positions [pos .. pos + width - 1], least significant
+    first.  The raw primitive behind the bit writers: no bounds check
+    beyond [Bytes.get]'s. *)
+val or_into : bytes -> pos:int -> width:int -> int -> unit
+
+(** [of_int ~width v] is the [width]-bit encoding of [v], least
+    significant bit first: the bits {!Bitbuf.write_bits} writes into an
+    empty buffer, without the buffer.  [0 <= width <= 62] and [v] must fit
+    in [width] bits. *)
+val of_int : width:int -> int -> t
+
 (** Underlying storage; never mutate the result. *)
 val bytes : t -> bytes
 

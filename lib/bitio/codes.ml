@@ -15,9 +15,11 @@ let write_unary buf n =
     Bitbuf.write_bit buf false
   end
 
-let read_unary r =
-  let rec loop acc = if Bitreader.read_bit r then loop (acc + 1) else acc in
-  loop 0
+(* Top level, not a closure local to [read_unary] (no flambda: a local
+   [let rec] over [r] would allocate per codeword). *)
+let rec count_ones r acc = if Bitreader.read_bit r then count_ones r (acc + 1) else acc
+
+let read_unary r = count_ones r 0
 
 (* Gamma of n >= 0 encodes m = n + 1: unary (width - 1), then the low
    (width - 1) bits of m. *)

@@ -21,23 +21,38 @@ let bypass : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
    regrow; a buffer that did grow keeps its larger storage for next time. *)
 let fresh () = Bitbuf.create ~capacity:1024 ()
 
-let with_buf f =
-  if !(Domain.DLS.get bypass) then f (fresh ())
+(* [acquire]/[release] bracket every borrow.  [release] runs on the normal
+   and the exceptional path alike ([match ... with exception] rather than
+   [Fun.protect], which would allocate two closures per borrow), so a
+   buffer always goes back reset. *)
+let acquire () =
+  if !(Domain.DLS.get bypass) then fresh ()
   else begin
     let free = Domain.DLS.get freelist in
-    let buf =
-      match !free with
-      | [] -> fresh ()
-      | buf :: rest ->
-          free := rest;
-          buf
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Bitbuf.reset buf;
-        free := buf :: !free)
-      (fun () -> f buf)
+    match !free with
+    | [] -> fresh ()
+    | buf :: rest ->
+        free := rest;
+        buf
   end
+
+let release buf =
+  if not !(Domain.DLS.get bypass) then begin
+    Bitbuf.reset buf;
+    let free = Domain.DLS.get freelist in
+    free := buf :: !free
+  end
+
+let with_buf f =
+  let buf = acquire () in
+  match f buf with
+  | v ->
+      release buf;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release buf;
+      Printexc.raise_with_backtrace e bt
 
 let payload f = with_buf (fun buf -> f buf; Bitbuf.contents buf)
 

@@ -28,9 +28,6 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     end
   in
   let width = Bitio.Set_codec.universe_width n_reduced in
-  let encode_image image =
-    Bitio.Pool.payload (fun buf -> Bitio.Bitbuf.write_bits buf ~width image)
-  in
   (* Draw buckets, exchange counts; retry together if the pair count is
      extreme (both parties see the same counts, so they stay in lockstep). *)
   let rec choose_buckets attempt =
@@ -82,7 +79,7 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
       (* Canonical instance order, identical on both sides: bucket index,
          then Alice's rank, then Bob's rank.  Each element is encoded once
          and the same payload value reused across its cross-product row. *)
-      let encoded = Array.map encode_image bucket in
+      let encoded = Array.map (Bitio.Bits.of_int ~width) bucket in
       let s_count, t_count =
         match role with
         | `Alice -> (Array.length bucket, their_counts.(i))

@@ -8,17 +8,14 @@ let joint_bits ~k =
    getting here) the remaining strings are exchanged verbatim. *)
 let default_max_iterations = 40
 
-type group = { gid : int; mutable undecided : int list }
-
-let length_prefixed_into buf instances idxs =
-  List.iter
-    (fun idx ->
-      Bitio.Codes.write_gamma buf (Bitio.Bits.length instances.(idx));
-      Bitio.Bitbuf.append buf instances.(idx))
-    idxs
-
-let length_prefixed instances idxs =
-  Bitio.Pool.payload (fun buf -> length_prefixed_into buf instances idxs)
+(* Gamma-length-prefixed concatenation of the instances named by
+   [idxs.(lo .. lo + len - 1)]. *)
+let length_prefixed_into buf instances idxs ~lo ~len =
+  for j = lo to lo + len - 1 do
+    let x = instances.(idxs.(j)) in
+    Bitio.Codes.write_gamma buf (Bitio.Bits.length x);
+    Bitio.Bitbuf.append buf x
+  done
 
 let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng chan instances =
   let open Commsim.Transport in
@@ -26,35 +23,48 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
   let status = Array.make k `Undecided in
   let jbits = joint_bits ~k in
   (* Both parties derive the same tag function from the shared rng and the
-     same label coordinates.  The label is folded incrementally
-     ([Rng.Label] hashes fragment-by-fragment, bit-identical to hashing
-     the concatenated string), so no label string — formerly one per
-     instance per iteration per party — is ever built. *)
-  let instance_fn ~gid ~iteration ~idx ~bits =
-    let d = Prng.Rng.Label.start rng in
-    Prng.Rng.Label.add d "eqb/g";
-    Prng.Rng.Label.add_int d gid;
-    Prng.Rng.Label.add d "/t";
-    Prng.Rng.Label.add_int d iteration;
-    Prng.Rng.Label.add d "/i";
-    Prng.Rng.Label.add_int d idx;
-    Strhash.create (Prng.Rng.Label.finish d) ~bits
+     same label coordinates, ["eqb/g<gid>/t<iter>/i<idx>"] per instance
+     and ["eqb/joint/g<gid>/t<iter>"] per joint test.  The labels are
+     folded incrementally ([Rng.Label] hashes fragment by fragment,
+     bit-identical to hashing the concatenated string), the shared prefix
+     once per group and tag round, and every function is redrawn in place
+     into one scratch generator and one scratch [Strhash.fn]: per instance
+     the hot path copies the prefix, folds the index digits, re-seeds and
+     redraws, and allocates nothing.  The scratch lives in this call, so
+     concurrent runs on other domains share none of it. *)
+  let root = Prng.Rng.Label.start rng in
+  let prefix = Prng.Rng.Label.start rng and work = Prng.Rng.Label.start rng in
+  let gen = Prng.Rng.of_int 0 in
+  let fn = Strhash.create gen ~bits:1 in
+  let fold_prefix ~gid ~iteration =
+    Prng.Rng.Label.blit ~src:root ~dst:prefix;
+    Prng.Rng.Label.add prefix "eqb/g";
+    Prng.Rng.Label.add_int prefix gid;
+    Prng.Rng.Label.add prefix "/t";
+    Prng.Rng.Label.add_int prefix iteration;
+    Prng.Rng.Label.add prefix "/i"
   in
-  let joint_fn ~gid ~iteration =
-    let d = Prng.Rng.Label.start rng in
-    Prng.Rng.Label.add d "eqb/joint/g";
-    Prng.Rng.Label.add_int d gid;
-    Prng.Rng.Label.add d "/t";
-    Prng.Rng.Label.add_int d iteration;
-    Strhash.create (Prng.Rng.Label.finish d) ~bits:jbits
+  let redraw_instance ~idx ~bits =
+    Prng.Rng.Label.blit ~src:prefix ~dst:work;
+    Prng.Rng.Label.add_int work idx;
+    Prng.Rng.Label.finish_into work gen;
+    Strhash.redraw fn gen ~bits
+  in
+  let redraw_joint ~gid ~iteration =
+    Prng.Rng.Label.blit ~src:root ~dst:work;
+    Prng.Rng.Label.add work "eqb/joint/g";
+    Prng.Rng.Label.add_int work gid;
+    Prng.Rng.Label.add work "/t";
+    Prng.Rng.Label.add_int work iteration;
+    Prng.Rng.Label.finish_into work gen;
+    Strhash.redraw fn gen ~bits:jbits
   in
   (* Exchange of one tag vector over positions [0 .. n-1]: Alice ships her
      tags, Bob replies with the positions whose tags differ from his own.
      Returns the shared mismatch bitmap.  [emit] appends position [p]'s
      tag to the outgoing buffer; [check] consumes the peer's tag for
-     position [p] from the reader (explicit left-to-right loop: the reader
-     must advance in position order) and says whether it matches this
-     side's. *)
+     position [p] from the reader and says whether it matches this
+     side's.  Both are called once per position, in position order. *)
   let tag_round n ~emit ~check =
     match role with
     | Alice ->
@@ -73,128 +83,194 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
             chan.send (Wire.bitmap_msg mismatches);
             mismatches)
   in
+  let group_count = if k = 0 then 0 else int_of_float (Float.ceil (sqrt (float_of_int k))) in
+  let group_size = if k = 0 then 0 else (k + group_count - 1) / group_count in
+  (* Bookkeeping in flat int arrays, compacted in place.  The active groups
+     are slots [0 .. !n_active - 1] of [act_gid]/[act_lo]/[act_len], in gid
+     order; slot [j]'s undecided instances are
+     [members.(act_lo.(j) .. act_lo.(j) + act_len.(j) - 1)], in index
+     order.  [pos_gid]/[pos_idx] flatten them into the positions of one
+     tag round.  Sequential runs hold one group at a time, so their
+     scratch is group-sized. *)
+  let capacity = if sequential then group_size else k in
+  let members = Array.make capacity 0 in
+  let act_gid = Array.make group_count 0 in
+  let act_lo = Array.make group_count 0 and act_len = Array.make group_count 0 in
+  let n_active = ref 0 in
+  let pos_gid = Array.make capacity 0 and pos_idx = Array.make capacity 0 in
+  let cand = Array.make group_count 0 in
+  (* One dirty flag per group, reused across iterations. *)
+  let dirty = Array.make (max 1 group_count) false in
+  let flatten () =
+    let n = ref 0 in
+    for j = 0 to !n_active - 1 do
+      let gid = act_gid.(j) and lo = act_lo.(j) in
+      for r = lo to lo + act_len.(j) - 1 do
+        pos_gid.(!n) <- gid;
+        pos_idx.(!n) <- members.(r);
+        incr n
+      done
+    done;
+    !n
+  in
+  (* Drop settled instances from every active group, then drop the groups
+     left empty; both compactions keep order. *)
+  let compact () =
+    let live = ref 0 in
+    for j = 0 to !n_active - 1 do
+      let lo = act_lo.(j) in
+      let w = ref lo in
+      for r = lo to lo + act_len.(j) - 1 do
+        let idx = members.(r) in
+        if status.(idx) = `Undecided then begin
+          members.(!w) <- idx;
+          incr w
+        end
+      done;
+      if !w > lo then begin
+        act_gid.(!live) <- act_gid.(j);
+        act_lo.(!live) <- lo;
+        act_len.(!live) <- !w - lo;
+        incr live
+      end
+    done;
+    n_active := !live
+  in
   (* Unconditional-termination fallback: exchange the remaining strings. *)
-  let exact_round groups =
-    let idxs = List.concat_map (fun g -> g.undecided) groups in
+  let exact_round () =
+    let n = flatten () in
     Obsv.Metrics.incr "eq/exact_fallbacks";
-    Obsv.Metrics.incr ~by:(List.length idxs) "eq/exact_instances";
+    Obsv.Metrics.incr ~by:n "eq/exact_instances";
     let mismatches =
       match role with
       | Alice ->
-          chan.send (length_prefixed instances idxs);
-          Wire.read_bitmap_msg (chan.recv ()) ~width:(List.length idxs)
+          chan.send
+            (Bitio.Pool.payload (fun buf -> length_prefixed_into buf instances pos_idx ~lo:0 ~len:n));
+          Wire.read_bitmap_msg (chan.recv ()) ~width:n
       | Bob ->
           Bitio.Pool.with_reader (chan.recv ()) (fun reader ->
               let mismatches =
-                Array.of_list
-                  (List.map
-                     (fun idx ->
-                       let len = Bitio.Codes.read_gamma reader in
-                       let theirs = Bitio.Bitreader.read_blob reader ~bits:len in
-                       not (Bitio.Bits.equal theirs instances.(idx)))
-                     idxs)
+                Array.init n (fun p ->
+                    let len = Bitio.Codes.read_gamma reader in
+                    let theirs = Bitio.Bitreader.read_blob reader ~bits:len in
+                    not (Bitio.Bits.equal theirs instances.(pos_idx.(p))))
               in
               chan.send (Wire.bitmap_msg mismatches);
               mismatches)
     in
-    List.iteri
-      (fun pos idx -> status.(idx) <- (if mismatches.(pos) then `Unequal else `Equal))
-      idxs
+    for p = 0 to n - 1 do
+      status.(pos_idx.(p)) <- (if mismatches.(p) then `Unequal else `Equal)
+    done
   in
-  let group_count = if k = 0 then 0 else int_of_float (Float.ceil (sqrt (float_of_int k))) in
-  (* One dirty flag per group, reused across iterations (gids index it
-     directly; a per-iteration Hashtbl was pure churn). *)
-  let dirty = Array.make (max 1 group_count) false in
-  let process initial_groups =
-    let active = ref initial_groups in
-    let iteration = ref 0 in
-    while !active <> [] do
-      if !iteration >= max_iterations then begin
-        Obsv.Trace.span Obsv.Phases.eq_exact (fun () -> exact_round !active);
-        active := []
+  let process () =
+    let it = ref 0 in
+    while !n_active > 0 do
+      if !it >= max_iterations then begin
+        Obsv.Trace.span Obsv.Phases.eq_exact exact_round;
+        n_active := 0
       end
       else begin
-        let bits = min 32 (2 lsl !iteration) in
+        let iteration = !it in
+        let bits = min 32 (2 lsl iteration) in
         Obsv.Metrics.incr "eq/tag_rounds";
         Obsv.Metrics.observe "eq/tag_bits" bits;
-        (* Flatten the undecided entries into two parallel int arrays (the
-           tuple list this replaces was rebuilt every iteration). *)
-        let n = List.fold_left (fun acc g -> acc + List.length g.undecided) 0 !active in
-        let egid = Array.make n 0 and eidx = Array.make n 0 in
-        let pos = ref 0 in
-        List.iter
-          (fun g ->
-            List.iter
-              (fun idx ->
-                egid.(!pos) <- g.gid;
-                eidx.(!pos) <- idx;
-                incr pos)
-              g.undecided)
-          !active;
+        let n = flatten () in
+        (* Positions come in group order, so the label prefix is folded
+           when the group changes and reused for the rest of the group. *)
+        let redraw_at p =
+          if p = 0 || pos_gid.(p) <> pos_gid.(p - 1) then
+            fold_prefix ~gid:pos_gid.(p) ~iteration;
+          redraw_instance ~idx:pos_idx.(p) ~bits
+        in
         let mismatches =
           Obsv.Trace.span Obsv.Phases.eq_tags (fun () ->
-              let fn p = instance_fn ~gid:egid.(p) ~iteration:!iteration ~idx:eidx.(p) ~bits in
               tag_round n
-                ~emit:(fun buf p -> Strhash.write (fn p) buf instances.(eidx.(p)))
-                ~check:(fun reader p -> Strhash.matches (fn p) reader instances.(eidx.(p))))
+                ~emit:(fun buf p ->
+                  redraw_at p;
+                  Strhash.write fn buf instances.(pos_idx.(p)))
+                ~check:(fun reader p ->
+                  redraw_at p;
+                  Strhash.matches fn reader instances.(pos_idx.(p))))
         in
         (* Settle mismatching instances; remember which groups stayed clean. *)
         Array.fill dirty 0 (Array.length dirty) false;
         for p = 0 to n - 1 do
           if mismatches.(p) then begin
-            status.(eidx.(p)) <- `Unequal;
-            dirty.(egid.(p)) <- true
+            status.(pos_idx.(p)) <- `Unequal;
+            dirty.(pos_gid.(p)) <- true
           end
         done;
-        List.iter
-          (fun g -> g.undecided <- List.filter (fun idx -> status.(idx) = `Undecided) g.undecided)
-          !active;
-        active := List.filter (fun g -> g.undecided <> []) !active;
+        compact ();
         (* Clean, still-undecided groups take a joint verification test. *)
-        let candidates = List.filter (fun g -> not dirty.(g.gid)) !active in
-        if candidates <> [] then begin
+        let n_cand = ref 0 in
+        for j = 0 to !n_active - 1 do
+          if not dirty.(act_gid.(j)) then begin
+            cand.(!n_cand) <- j;
+            incr n_cand
+          end
+        done;
+        if !n_cand > 0 then begin
           Obsv.Metrics.incr "eq/joint_checks";
-          let cand = Array.of_list candidates in
+          (* The joint payload is assembled in a scratch writer and hashed
+             through its zero-copy view; only the jbits-wide tag reaches
+             the wire. *)
+          let with_joint p f =
+            let j = cand.(p) in
+            Bitio.Pool.with_buf (fun tmp ->
+                length_prefixed_into tmp instances members ~lo:act_lo.(j) ~len:act_len.(j);
+                redraw_joint ~gid:act_gid.(j) ~iteration;
+                f (Bitio.Bitbuf.view tmp))
+          in
           let passed =
             Obsv.Trace.span Obsv.Phases.eq_joint (fun () ->
-                (* The joint payload is assembled in a scratch writer and
-                   hashed through its zero-copy view; only the jbits-wide
-                   tag reaches the wire. *)
-                let with_joint g f =
-                  Bitio.Pool.with_buf (fun tmp ->
-                      length_prefixed_into tmp instances g.undecided;
-                      f (joint_fn ~gid:g.gid ~iteration:!iteration) (Bitio.Bitbuf.view tmp))
-                in
-                tag_round (Array.length cand)
-                  ~emit:(fun buf p ->
-                    with_joint cand.(p) (fun fn payload -> Strhash.write fn buf payload))
+                tag_round !n_cand
+                  ~emit:(fun buf p -> with_joint p (fun payload -> Strhash.write fn buf payload))
                   ~check:(fun reader p ->
-                    with_joint cand.(p) (fun fn payload -> Strhash.matches fn reader payload)))
+                    with_joint p (fun payload -> Strhash.matches fn reader payload)))
           in
           (* [mismatch = false] means the joint tags agreed: declare equal. *)
-          Array.iteri
-            (fun pos g ->
-              if not passed.(pos) then begin
-                List.iter (fun idx -> status.(idx) <- `Equal) g.undecided;
-                g.undecided <- []
-              end)
-            cand;
-          active := List.filter (fun g -> g.undecided <> []) !active
+          for p = 0 to !n_cand - 1 do
+            if not passed.(p) then begin
+              let j = cand.(p) in
+              let lo = act_lo.(j) in
+              for r = lo to lo + act_len.(j) - 1 do
+                status.(members.(r)) <- `Equal
+              done;
+              act_len.(j) <- 0
+            end
+          done;
+          compact ()
         end;
-        incr iteration
+        incr it
       end
     done
   in
-  if k > 0 then begin
-    let group_size = (k + group_count - 1) / group_count in
-    let groups =
-      List.init group_count (fun gid ->
-          let lo = gid * group_size in
-          let hi = min k (lo + group_size) in
-          { gid; undecided = List.init (max 0 (hi - lo)) (fun i -> lo + i) })
-      |> List.filter (fun g -> g.undecided <> [])
-    in
-    if sequential then List.iter (fun g -> process [ g ]) groups else process groups
+  (* Make group [gid] active, its instances stored after those of the
+     groups already active. *)
+  let activate gid =
+    let first = gid * group_size in
+    let len = Int.min k (first + group_size) - first in
+    if len > 0 then begin
+      let lo = if !n_active = 0 then 0 else act_lo.(!n_active - 1) + act_len.(!n_active - 1) in
+      for i = 0 to len - 1 do
+        members.(lo + i) <- first + i
+      done;
+      act_gid.(!n_active) <- gid;
+      act_lo.(!n_active) <- lo;
+      act_len.(!n_active) <- len;
+      incr n_active
+    end
+  in
+  if sequential then
+    for gid = 0 to group_count - 1 do
+      activate gid;
+      process ()
+    done
+  else begin
+    for gid = 0 to group_count - 1 do
+      activate gid
+    done;
+    process ()
   end;
   Array.map (fun st -> st = `Equal) status
 

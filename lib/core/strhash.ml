@@ -22,30 +22,37 @@ let mul61 a b =
 
 let lane_width = 48
 
-type lane = { a : int; b : int; width : int }
+(* Lane [i] is the affine map [v -> a*v + b mod p] at [lanes.(2i)] and
+   [lanes.(2i+1)], contributing the low [min lane_width (bits - 48i)] bits
+   of the tag.  The array only grows, so a redrawn function keeps its
+   storage; lanes past [lane_count bits] are stale and never read. *)
+type fn = { mutable point : int; mutable lanes : int array; mutable bits : int }
 
-type fn = { point : int; lanes : lane list; bits : int }
+let lane_count bits = (bits + lane_width - 1) / lane_width
 
 (* Rejection from 61 uniform bits; top-level so no closure environment is
-   allocated per draw (three draws per lane, one create per instance per
-   tag round on the batch-equality hot path). *)
+   allocated per draw (one draw for the point and two per lane, on every
+   per-instance redraw of the batch-equality hot path). *)
 let rec draw_mod_p rng =
   let v = Prng.Rng.bits rng ~width:61 in
   if v < p61 then v else draw_mod_p rng
 
+let redraw fn rng ~bits =
+  if bits < 1 then invalid_arg "Strhash.redraw: bits";
+  let n = lane_count bits in
+  if Array.length fn.lanes < 2 * n then fn.lanes <- Array.make (2 * n) 0;
+  fn.point <- 2 + (draw_mod_p rng mod (p61 - 4));
+  for i = 0 to n - 1 do
+    fn.lanes.(2 * i) <- 1 + (draw_mod_p rng mod (p61 - 1));
+    fn.lanes.((2 * i) + 1) <- draw_mod_p rng
+  done;
+  fn.bits <- bits
+
 let create rng ~bits =
   if bits < 1 then invalid_arg "Strhash.create: bits";
-  let point = 2 + (draw_mod_p rng mod (p61 - 4)) in
-  let rec mk_lanes remaining =
-    if remaining <= 0 then []
-    else begin
-      let width = min lane_width remaining in
-      let a = 1 + (draw_mod_p rng mod (p61 - 1)) in
-      let b = draw_mod_p rng in
-      { a; b; width } :: mk_lanes (remaining - width)
-    end
-  in
-  { point; lanes = mk_lanes bits; bits }
+  let fn = { point = 0; lanes = Array.make (2 * lane_count bits) 0; bits } in
+  redraw fn rng ~bits;
+  fn
 
 let bits fn = fn.bits
 
@@ -56,7 +63,7 @@ let fingerprint fn payload =
   let acc = ref (reduce (n + 1)) in
   let i = ref 0 in
   while !i < n do
-    let chunk_len = min 24 (n - !i) in
+    let chunk_len = Int.min 24 (n - !i) in
     let chunk = Bitio.Bits.extract payload ~pos:!i ~width:chunk_len in
     (* chunk + 1 so trailing zero chunks still advance the polynomial *)
     acc := reduce (mul61 !acc fn.point + (chunk + 1));
@@ -64,15 +71,20 @@ let fingerprint fn payload =
   done;
   !acc
 
+(* Lane [i]'s tag bits for the collapsed value [v]: the low bits of a
+   near-uniform value mod p. *)
+let lane_width_at fn i = Int.min lane_width (fn.bits - (i * lane_width))
+
+let lane_value fn i v =
+  let h = reduce (mul61 fn.lanes.(2 * i) v + fn.lanes.((2 * i) + 1)) in
+  h land ((1 lsl lane_width_at fn i) - 1)
+
 (* Write the tag of the collapsed value [v] straight into [buf]: same bits
    as freezing a private Bitbuf, without the intermediate allocation. *)
 let write_value fn buf v =
-  List.iter
-    (fun lane ->
-      let h = reduce (mul61 lane.a v + lane.b) in
-      (* low [width] bits of a near-uniform value mod p *)
-      Bitio.Bitbuf.write_bits buf ~width:lane.width (h land ((1 lsl lane.width) - 1)))
-    fn.lanes
+  for i = 0 to lane_count fn.bits - 1 do
+    Bitio.Bitbuf.write_bits buf ~width:(lane_width_at fn i) (lane_value fn i v)
+  done
 
 let tag_of_value fn v =
   let buf = Bitio.Bitbuf.create ~capacity:fn.bits () in
@@ -95,12 +107,12 @@ let write_int fn buf x =
    is read even after a mismatch so the reader always advances by exactly
    [fn.bits], mirroring what a read_blob + Bits.equal round trip did. *)
 let matches_value fn reader v =
-  List.fold_left
-    (fun ok lane ->
-      let h = reduce (mul61 lane.a v + lane.b) in
-      let theirs = Bitio.Bitreader.read_bits reader ~width:lane.width in
-      ok && theirs = h land ((1 lsl lane.width) - 1))
-    true fn.lanes
+  let ok = ref true in
+  for i = 0 to lane_count fn.bits - 1 do
+    let theirs = Bitio.Bitreader.read_bits reader ~width:(lane_width_at fn i) in
+    if theirs <> lane_value fn i v then ok := false
+  done;
+  !ok
 
 let matches fn reader payload = matches_value fn reader (fingerprint fn payload)
 

@@ -21,7 +21,14 @@ type fn
     supported (wide tags use several lanes). *)
 val create : Prng.Rng.t -> bits:int -> fn
 
-(** Tag width in bits, as requested at {!create}. *)
+(** [redraw fn rng ~bits] turns [fn] in place into the function
+    [create rng ~bits] would return: the same draws from [rng] in the same
+    order, and the same tags from then on.  Allocates nothing unless
+    [bits] needs more lanes than [fn] has held before.  For hot paths that
+    draw one function per item and drop it straight after use. *)
+val redraw : fn -> Prng.Rng.t -> bits:int -> unit
+
+(** Tag width in bits, as requested at {!create} or the last {!redraw}. *)
 val bits : fn -> int
 
 (** Tag of a bit string. *)

@@ -1,11 +1,12 @@
 (* The root seed is stored as 32-bit native halves next to the generator:
    label derivation xors the FNV-hashed label into the root and runs one
-   SplitMix64 mix, and keeping everything in halves means a derivation
-   allocates exactly two records (the generator and this wrapper) — no
-   Int64 is ever built.  Derivation runs once per hash-function draw on
-   protocol hot paths, so this floor is what the allocations-per-trial
-   gate in bench/scaling.ml leans on. *)
-type t = { gen : Splitmix64.t; root_hi : int; root_lo : int }
+   SplitMix64 mix, and keeping everything in halves means no Int64 is ever
+   built.  [Label.finish] allocates the derived generator (two records);
+   [Label.finish_into] re-seeds an existing one in place and allocates
+   nothing, which is what the batch-equality hot path uses for its
+   per-instance tag functions.  The root halves are mutable only so that
+   [finish_into] can overwrite them. *)
+type t = { gen : Splitmix64.t; mutable root_hi : int; mutable root_lo : int }
 
 let of_seed seed =
   {
@@ -29,9 +30,15 @@ let of_int n = of_seed (Int64.of_int n)
    protocol hot paths derive per-instance generators without building the
    label string at all. *)
 module Label = struct
-  type d = { mutable h_hi : int; mutable h_lo : int; r_hi : int; r_lo : int }
+  type d = { mutable h_hi : int; mutable h_lo : int; mutable r_hi : int; mutable r_lo : int }
 
   let start t = { h_hi = 0xCBF29CE4; h_lo = 0x84222325; r_hi = t.root_hi; r_lo = t.root_lo }
+
+  let blit ~src ~dst =
+    dst.h_hi <- src.h_hi;
+    dst.h_lo <- src.h_lo;
+    dst.r_hi <- src.r_hi;
+    dst.r_lo <- src.r_lo
 
   let add_byte d code =
     let l = d.h_lo lxor code in
@@ -40,7 +47,13 @@ module Label = struct
     d.h_hi <- ((d.h_hi * 0x1B3) + (p lsr 32) + ((l land 0xFFFFFF) lsl 8)) land 0xFFFFFFFF
 
   let add_char d c = add_byte d (Char.code c)
-  let add d s = String.iter (fun c -> add_byte d (Char.code c)) s
+
+  (* A plain loop: [String.iter] with a closure over [d] would allocate
+     the closure on every call. *)
+  let add d s =
+    for i = 0 to String.length s - 1 do
+      add_byte d (Char.code (String.unsafe_get s i))
+    done
 
   (* Decimal digits, most significant first: the bytes [string_of_int]
      would produce, without the string. *)
@@ -55,6 +68,11 @@ module Label = struct
     (* [of_mixed_halves] leaves the mixed seed in the out halves until the
        first step; that mixed seed is the derived generator's root. *)
     { gen; root_hi = Splitmix64.out_hi gen; root_lo = Splitmix64.out_lo gen }
+
+  let finish_into d t =
+    Splitmix64.reseed_mixed t.gen ~hi:(d.r_hi lxor d.h_hi) ~lo:(d.r_lo lxor d.h_lo);
+    t.root_hi <- Splitmix64.out_hi t.gen;
+    t.root_lo <- Splitmix64.out_lo t.gen
 end
 
 let with_label t label =

@@ -29,8 +29,8 @@ val with_label : t -> string -> t
 
     is bit-identical to [with_label t "eqb/g12"] — same hash, same derived
     stream — without allocating the intermediate strings.  A derivation
-    [d] is single-use scratch: feed fragments left to right, then
-    [finish]. *)
+    [d] is scratch: feed fragments left to right, then [finish] (or
+    [finish_into]). *)
 module Label : sig
   type d
 
@@ -42,6 +42,18 @@ module Label : sig
   val add_int : d -> int -> unit
 
   val finish : d -> t
+
+  (** [blit ~src ~dst] makes [dst] a copy of the derivation [src]: its
+      root and every fragment fed so far.  A hot path folds a shared
+      label prefix once, then per label copies it into a scratch
+      derivation and feeds only the suffix. *)
+  val blit : src:d -> dst:d -> unit
+
+  (** [finish_into d g] re-seeds [g] in place to be observably identical
+      to [finish d]: the same draws, and the same root for any later
+      {!start} or {!with_label} on [g].  Allocates nothing.  Whatever [g]
+      was before is lost, so [g] must be scratch its caller owns. *)
+  val finish_into : d -> t -> unit
 end
 
 (** [split t] draws a fresh child generator from [t] (advances [t]). *)

@@ -78,15 +78,16 @@ let mix z =
   mix_into t (split64_hi z) (split64_lo z);
   join64 t.out_hi t.out_lo
 
-let of_mixed_halves ~hi ~lo =
-  (* [create (mix (hi << 32 | lo))] without building either Int64: the
-     generator record doubles as the mix scratch cell, and the mixed seed
-     is left readable in [out_hi]/[out_lo] until the first [step].  Label
-     derivation ([Rng.with_label] and the incremental [Rng.Label]) runs
-     once per hash-function draw on protocol hot paths, so this is the
-     allocation floor: one record per derived generator. *)
-  let t = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
+(* [create (mix (hi << 32 | lo))] in place, without building either
+   Int64: the generator record doubles as the mix scratch cell, and the
+   mixed seed is left readable in [out_hi]/[out_lo] until the first
+   [step]. *)
+let reseed_mixed t ~hi ~lo =
   mix_into t (hi land mask32) (lo land mask32);
   t.hi <- t.out_hi;
-  t.lo <- t.out_lo;
+  t.lo <- t.out_lo
+
+let of_mixed_halves ~hi ~lo =
+  let t = { hi = 0; lo = 0; out_hi = 0; out_lo = 0 } in
+  reseed_mixed t ~hi ~lo;
   t

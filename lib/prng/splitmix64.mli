@@ -29,3 +29,8 @@ val mix : int64 -> int64
     {!step}, {!out_hi}/{!out_lo} hold the mixed seed itself, so a caller
     can record the derived root without boxing either. *)
 val of_mixed_halves : hi:int -> lo:int -> t
+
+(** [reseed_mixed t ~hi ~lo] puts [t] in exactly the state
+    [of_mixed_halves ~hi ~lo] returns, in place: same future draws, same
+    {!out_hi}/{!out_lo} until the next {!step}.  Allocates nothing. *)
+val reseed_mixed : t -> hi:int -> lo:int -> unit

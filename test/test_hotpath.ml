@@ -189,7 +189,333 @@ let test_with_label_reference () =
       done)
     [ ""; "a"; "regress/bucket/k1024"; "eqb/joint/g7/t3"; "tree/bi/leaf12/run2" ]
 
+(* ---------- in-place tag derivation ---------- *)
+
+let draws rng = List.init 12 (fun _ -> Prng.Rng.bits rng ~width:62)
+
+(* What a caller can observe of a generator: its draws, and what a further
+   label derivation from it yields (which reads the root halves). *)
+let observe rng =
+  let d = Prng.Rng.Label.start rng in
+  Prng.Rng.Label.add d "next/";
+  Prng.Rng.Label.add_int d 7;
+  (draws (Prng.Rng.with_label rng "further"), draws (Prng.Rng.Label.finish d), draws rng)
+
+let eq_label_coords =
+  QCheck.(
+    quad (map Int64.of_int int) (int_range 0 1_000_000) (int_range 0 60) (int_range (-1000) 1_000_000))
+
+(* Eq_batch's derivation: the ["eqb/g<gid>/t<iter>/i"] prefix folded once,
+   copied into a scratch derivation per instance, finished into a scratch
+   generator that already served an unrelated derivation. *)
+let prop_prefix_finish_into =
+  QCheck.Test.make ~name:"prefix copy + finish_into = full fold" ~count:300 eq_label_coords
+    (fun (seed, gid, iter, idx) ->
+      let root = Prng.Rng.of_seed seed in
+      let full () =
+        let d = Prng.Rng.Label.start root in
+        Prng.Rng.Label.add d "eqb/g";
+        Prng.Rng.Label.add_int d gid;
+        Prng.Rng.Label.add d "/t";
+        Prng.Rng.Label.add_int d iter;
+        Prng.Rng.Label.add d "/i";
+        Prng.Rng.Label.add_int d idx;
+        Prng.Rng.Label.finish d
+      in
+      let prefix = Prng.Rng.Label.start root in
+      Prng.Rng.Label.add prefix "eqb/g";
+      Prng.Rng.Label.add_int prefix gid;
+      Prng.Rng.Label.add prefix "/t";
+      Prng.Rng.Label.add_int prefix iter;
+      Prng.Rng.Label.add prefix "/i";
+      (* The scratch derivation starts from another root: [blit] must copy
+         the root halves as well as the fold. *)
+      let scratch = Prng.Rng.of_int 99 in
+      let work = Prng.Rng.Label.start scratch in
+      Prng.Rng.Label.add work "unrelated";
+      Prng.Rng.Label.finish_into work scratch;
+      ignore (draws scratch);
+      Prng.Rng.Label.blit ~src:prefix ~dst:work;
+      Prng.Rng.Label.add_int work idx;
+      Prng.Rng.Label.finish_into work scratch;
+      let label = Printf.sprintf "eqb/g%d/t%d/i%d" gid iter idx in
+      observe scratch = observe (full ())
+      && observe (Prng.Rng.with_label root label) = observe (full ()))
+
+let strhash_widths = List.init 150 (fun i -> i + 1)
+
+(* [redraw] into a function that has held other widths (fewer and more
+   lanes) must match [create] from an equal generator state: same draws
+   consumed, same tags through [write], [matches] and [apply]. *)
+let prop_strhash_redraw_create =
+  QCheck.Test.make ~name:"Strhash.redraw = create, widths 1..150" ~count:20
+    QCheck.(pair int small_string)
+    (fun (seed, text) ->
+      let payload = Bitio.Bits.of_string text in
+      let scratch = Strhash.create (Prng.Rng.of_int seed) ~bits:150 in
+      List.for_all
+        (fun bits ->
+          let label = "w" ^ string_of_int bits in
+          let g_ref = Prng.Rng.with_label (Prng.Rng.of_int seed) label in
+          let g_in = Prng.Rng.with_label (Prng.Rng.of_int seed) label in
+          let reference = Strhash.create g_ref ~bits in
+          Strhash.redraw scratch g_in ~bits;
+          let written fn =
+            let buf = Bitio.Bitbuf.create () in
+            Strhash.write fn buf payload;
+            Strhash.write_int fn buf (seed land 0xFFFFFF);
+            Bitio.Bitbuf.contents buf
+          in
+          let tag = Strhash.apply reference payload in
+          let matches fn t =
+            let reader = Bitio.Bitreader.create t in
+            let ok = Strhash.matches fn reader payload in
+            (ok, Bitio.Bitreader.position reader)
+          in
+          Strhash.bits scratch = bits
+          && Bitio.Bits.equal (written scratch) (written reference)
+          && Bitio.Bits.equal (Strhash.apply scratch payload) tag
+          && Bitio.Bits.equal (Strhash.apply_int scratch 12345) (Strhash.apply_int reference 12345)
+          && matches scratch tag = (true, bits)
+          && matches scratch (Bitio.Bits.flip tag (bits - 1)) = (false, bits)
+          && draws g_in = draws g_ref)
+        (strhash_widths @ [ 1; 97; 32; 49 ]))
+
+(* ---------- native-int arithmetic vs the Int64 reference ---------- *)
+
+(* Carter-Wegman against [Modarith]: [create] draws a then b from the
+   generator, so a twin generator in the same state reproduces them. *)
+let cw_reference ~seed ~universe ~range x =
+  let rng = Prng.Rng.of_int seed in
+  let p = Hashing.Prime.next_prime (max universe 2) in
+  let a = 1 + Prng.Rng.int rng (p - 1) in
+  let b = Prng.Rng.int rng p in
+  let p64 = Int64.of_int p in
+  let v =
+    Hashing.Modarith.addmod
+      (Hashing.Modarith.mulmod (Int64.of_int a) (Int64.of_int x) p64)
+      (Int64.of_int b) p64
+  in
+  Int64.to_int (Int64.unsigned_rem v (Int64.of_int range))
+
+(* Universes whose prime lands just below 2^31 (2^31 - 1 is prime), just
+   above it (2^31 + 11), well inside either path, and random ones. *)
+let cw_universes = [ 2; 1000; 1 lsl 20; (1 lsl 31) - 2; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 5; 1 lsl 44 ]
+
+let prop_cw_native =
+  QCheck.Test.make ~name:"Carter_wegman.hash = Int64 reference" ~count:300
+    QCheck.(quad int (int_range 1 (1 lsl 40)) (int_range 1 100_000) (int_range 0 (1 lsl 62 - 1)))
+    (fun (seed, random_universe, range, raw) ->
+      List.for_all
+        (fun universe ->
+          let h = Hashing.Carter_wegman.create (Prng.Rng.of_int seed) ~universe ~range in
+          (* x below the universe (the contract) and past the 2^31 bound. *)
+          List.for_all
+            (fun x -> Hashing.Carter_wegman.hash h x = cw_reference ~seed ~universe ~range x)
+            [ 0; universe - 1; raw mod universe; raw land ((1 lsl 31) - 1); (1 lsl 31) - 1; 1 lsl 31; raw ])
+        (random_universe :: cw_universes))
+
+(* The Int64 Miller-Rabin that [Prime.is_prime] used for every n. *)
+let is_prime_reference n =
+  if n < 2 then false
+  else if n < 4 then true
+  else if n mod 2 = 0 then false
+  else begin
+    let n64 = Int64.of_int n in
+    let d = ref (n - 1) and s = ref 0 in
+    while !d mod 2 = 0 do
+      d := !d / 2;
+      incr s
+    done;
+    List.for_all
+      (fun a ->
+        let a = a mod n in
+        a = 0
+        ||
+        let x = ref (Hashing.Modarith.powmod (Int64.of_int a) (Int64.of_int !d) n64) in
+        !x = 1L
+        || !x = Int64.of_int (n - 1)
+        ||
+        let found = ref false and r = ref 1 in
+        while (not !found) && !r < !s do
+          x := Hashing.Modarith.mulmod !x !x n64;
+          if !x = Int64.of_int (n - 1) then found := true;
+          incr r
+        done;
+        !found)
+      [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37 ]
+  end
+
+let rec next_prime_reference n = if is_prime_reference n then n else next_prime_reference (n + 1)
+
+let prop_prime_native =
+  QCheck.Test.make ~name:"Prime native = Int64 ref on [2, 2^33]" ~count:2000
+    QCheck.(int_range 2 (1 lsl 33))
+    (fun n ->
+      Hashing.Prime.is_prime n = is_prime_reference n
+      && Hashing.Prime.next_prime n = next_prime_reference n)
+
+let test_prime_native_boundary () =
+  for n = (1 lsl 31) - 300 to (1 lsl 31) + 300 do
+    if Hashing.Prime.is_prime n <> is_prime_reference n then Alcotest.failf "is_prime %d disagrees" n
+  done;
+  (* Strong pseudoprimes to small bases, below and above the bound. *)
+  List.iter
+    (fun n -> Alcotest.(check bool) (Printf.sprintf "is_prime %d" n) (is_prime_reference n) (Hashing.Prime.is_prime n))
+    [ 2047; 1373653; 25326001; 3215031751; 2152302898747; 3474749660383; 341550071728321 ];
+  check_int "next_prime just below 2^31" ((1 lsl 31) - 1) (Hashing.Prime.next_prime ((1 lsl 31) - 18));
+  check_int "next_prime from 2^31" ((1 lsl 31) + 11) (Hashing.Prime.next_prime (1 lsl 31))
+
+(* ---------- pinned k = 1024 / 4096 transcripts ---------- *)
+
+(* Cost fields and outputs of fixed-seed runs, recorded before the
+   allocation-free Eq_batch / Strhash / Carter-Wegman paths landed: any
+   change to a draw, tag, bit, message or round moves one of them. *)
+type pinned = {
+  bits : int;
+  messages : int;
+  rounds : int;
+  alice_sent : int;
+  bob_sent : int;
+  alice_out : int;
+  bob_out : int;
+  out_sum : int;  (* order-sensitive checksum of Alice's output *)
+}
+
+let pinned_cases =
+  [
+    ( "bucket", 1024, 1,
+      { bits = 24577; messages = 352; rounds = 352; alice_sent = 18972; bob_sent = 5605;
+        alice_out = 512; bob_out = 512; out_sum = 111829151 } );
+    ( "bucket", 1024, 2,
+      { bits = 24947; messages = 352; rounds = 352; alice_sent = 19412; bob_sent = 5535;
+        alice_out = 512; bob_out = 512; out_sum = 320290417 } );
+    ( "tree-r2", 4096, 1,
+      { bits = 228610; messages = 6; rounds = 6; alice_sent = 153719; bob_sent = 74891;
+        alice_out = 2048; bob_out = 2048; out_sum = 142424599 } );
+    ( "tree-r2", 4096, 2,
+      { bits = 231056; messages = 6; rounds = 6; alice_sent = 154966; bob_sent = 76090;
+        alice_out = 2048; bob_out = 2048; out_sum = 1053219027 } );
+  ]
+
+let test_pinned_transcripts () =
+  let universe = 1 lsl 20 in
+  List.iter
+    (fun (name, k, seed, want) ->
+      let protocol = Workload.Regress.protocol_of ~name ~k in
+      let root = Prng.Rng.of_int seed in
+      let pair =
+        Workload.Setgen.pair_with_overlap (Prng.Rng.with_label root "pin/pair") ~universe ~size_s:k
+          ~size_t:k ~overlap:(k / 2)
+      in
+      let o =
+        protocol.Protocol.run (Prng.Rng.with_label root "pin/protocol") ~universe
+          pair.Workload.Setgen.s pair.Workload.Setgen.t
+      in
+      let c = o.Protocol.cost in
+      let got =
+        {
+          bits = c.Commsim.Cost.total_bits;
+          messages = c.Commsim.Cost.messages;
+          rounds = c.Commsim.Cost.rounds;
+          alice_sent = c.Commsim.Cost.players.(0).Commsim.Cost.sent_bits;
+          bob_sent = c.Commsim.Cost.players.(1).Commsim.Cost.sent_bits;
+          alice_out = Iset.cardinal o.Protocol.alice;
+          bob_out = Iset.cardinal o.Protocol.bob;
+          out_sum = Array.fold_left (fun acc x -> ((acc * 1000003) + x) land 0x3FFFFFFF) 17 o.Protocol.alice;
+        }
+      in
+      let field what f = check_int (Printf.sprintf "%s k=%d seed=%d %s" name k seed what) (f want) (f got) in
+      field "bits" (fun p -> p.bits);
+      field "messages" (fun p -> p.messages);
+      field "rounds" (fun p -> p.rounds);
+      field "alice sent" (fun p -> p.alice_sent);
+      field "bob sent" (fun p -> p.bob_sent);
+      field "alice output" (fun p -> p.alice_out);
+      field "bob output" (fun p -> p.bob_out);
+      field "output checksum" (fun p -> p.out_sum))
+    pinned_cases
+
+(* Eq_batch on its own, in both schedules, with every payload either party
+   sends recorded in send order: the digest moves if any tag function is
+   derived from a different label or drawn differently, even where the
+   verdicts and bit counts happen to survive. *)
+let eq_batch_transcript ~k ~sequential =
+  let r = Prng.Rng.of_int (k + 11) in
+  let draw () = Bitio.Bits.of_string (string_of_int (Prng.Rng.int r 1_000_000)) in
+  let xs = Array.init k (fun _ -> draw ()) in
+  let ys = Array.mapi (fun i x -> if i mod 3 = 0 then x else draw ()) xs in
+  let wire = Buffer.create 4096 in
+  let recording chan =
+    Commsim.Transport.make
+      ~send:(fun payload ->
+        Buffer.add_string wire (Bitio.Bits.key payload);
+        Commsim.Transport.send chan payload)
+      ~recv:(fun () -> Commsim.Transport.recv chan)
+  in
+  let shared = Prng.Rng.of_int 5 in
+  let (va, vb), cost =
+    Commsim.Two_party.run
+      ~alice:(fun chan -> Eq_batch.run_alice ~sequential shared (recording chan) xs)
+      ~bob:(fun chan -> Eq_batch.run_bob ~sequential shared (recording chan) ys)
+  in
+  let count v = Array.fold_left (fun n b -> if b then n + 1 else n) 0 v in
+  Printf.sprintf "%d bits, %d messages, %d/%d equal, wire %s" cost.Commsim.Cost.total_bits
+    cost.Commsim.Cost.messages (count va) (count vb)
+    (Digest.to_hex (Digest.string (Buffer.contents wire)))
+
+let test_pinned_eq_batch () =
+  List.iter
+    (fun (k, sequential, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "eq_batch k=%d sequential=%b" k sequential)
+        want (eq_batch_transcript ~k ~sequential))
+    [
+      (300, false, "4022 bits, 14 messages, 100/100 equal, wire 0c97129447a58bc2f29042f3babe7a66");
+      (300, true, "4022 bits, 154 messages, 100/100 equal, wire 11698ba1e9fad52d9eec8fe596195c48");
+      (1500, false, "19087 bits, 12 messages, 500/500 equal, wire 73fd72bd9e3953383914af10015bd8b5");
+    ]
+
+(* ---------- Bitio.Pool exception path ---------- *)
+
+let test_pool_exception_path () =
+  let raised = ref None in
+  (try
+     Bitio.Pool.with_buf (fun buf ->
+         raised := Some buf;
+         Bitio.Bitbuf.write_bits buf ~width:20 0xABCDE;
+         raise Exit)
+   with Exit -> ());
+  let first = Option.get !raised in
+  Bitio.Pool.with_buf (fun buf ->
+      Alcotest.(check bool) "writer returned to the pool" true (buf == first);
+      check_int "returned reset" 0 (Bitio.Bitbuf.length buf);
+      Bitio.Bitbuf.write_bits buf ~width:3 5;
+      let fresh = Bitio.Bitbuf.create () in
+      Bitio.Bitbuf.write_bits fresh ~width:3 5;
+      Alcotest.check bits_t "no stale bits" (Bitio.Bitbuf.contents fresh) (Bitio.Bitbuf.contents buf));
+  (try ignore (Bitio.Pool.payload (fun buf -> Bitio.Bitbuf.write_bits buf ~width:8 0xFF; raise Exit))
+   with Exit -> ());
+  Alcotest.check bits_t "payload after a raising payload" (Bitio.Bits.of_int ~width:4 9)
+    (Bitio.Pool.payload (fun buf -> Bitio.Bitbuf.write_bits buf ~width:4 9));
+  Bitio.Pool.with_buf (fun outer ->
+      Bitio.Bitbuf.write_bits outer ~width:5 17;
+      Bitio.Pool.with_buf (fun inner ->
+          Alcotest.(check bool) "nested borrows distinct" false (inner == outer);
+          check_int "inner reset" 0 (Bitio.Bitbuf.length inner));
+      check_int "outer untouched by the nested borrow" 5 (Bitio.Bitbuf.length outer))
+
+let prop_bits_of_int =
+  QCheck.Test.make ~name:"Bits.of_int = Bitbuf.write_bits" ~count:500
+    QCheck.(pair (int_range 0 62) (int_range 0 max_int))
+    (fun (width, raw) ->
+      let v = if width = 62 then raw land ((1 lsl 62) - 1) else raw land ((1 lsl width) - 1) in
+      let buf = Bitio.Bitbuf.create () in
+      Bitio.Bitbuf.write_bits buf ~width v;
+      Bitio.Bits.equal (Bitio.Bits.of_int ~width v) (Bitio.Bitbuf.contents buf))
+
 let () =
+  let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "hotpath"
     [
       ( "invariance",
@@ -207,5 +533,23 @@ let () =
           Alcotest.test_case "splitmix64 limb vs reference" `Quick test_splitmix_reference;
           Alcotest.test_case "rng draws vs reference" `Quick test_rng_draws_reference;
           Alcotest.test_case "with_label vs reference" `Quick test_with_label_reference;
+          qt prop_prefix_finish_into;
+          qt prop_strhash_redraw_create;
+        ] );
+      ( "native",
+        [
+          qt prop_cw_native;
+          qt prop_prime_native;
+          Alcotest.test_case "prime boundary and pseudoprimes" `Quick test_prime_native_boundary;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "bucket k1024, tree-r2 k4096 transcripts" `Quick test_pinned_transcripts;
+          Alcotest.test_case "eq_batch wire, both schedules" `Quick test_pinned_eq_batch;
+        ] );
+      ( "bitio",
+        [
+          Alcotest.test_case "Pool.with_buf exception path" `Quick test_pool_exception_path;
+          qt prop_bits_of_int;
         ] );
     ]
