@@ -236,11 +236,35 @@ let similarity_cmd =
     (Cmd.info "similarity" ~doc:"Exact similarity statistics (optionally vs a min-wise sketch).")
     Term.(const run $ k_arg $ universe_bits_arg $ overlap_arg $ seed_arg $ sketch_arg)
 
-(* ---------- trace / profile: phase-attributed observability ---------- *)
+(* ---------- flags and report plumbing shared by the campaign subcommands ---------- *)
 
-let obsv_protocol_names =
-  "trivial, full-exchange, one-round, basic, bucket, tree, tree-log-star, verified-tree, \
-   resilient, session, star, tournament"
+(* Campaign knobs are optional: an absent flag falls back to the library
+   configuration, [smoke] under --smoke and [default] otherwise. *)
+let some_int names docv doc = Arg.(value & opt (some int) None & info names ~docv ~doc)
+let override base = function Some v -> v | None -> base
+let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.")
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
+
+let campaign_seed_arg = some_int [ "seed" ] "SEED" "Root seed (default 2014)."
+let campaign_trials_arg = some_int [ "trials" ] "N" "Trials per matrix cell."
+let campaign_universe_arg = some_int [ "universe-bits" ] "B" "Universe size 2^B."
+let attempts_arg = some_int [ "attempts" ] "A" "Resilient retry budget (faulted cells)."
+let check_bits_arg = some_int [ "check-bits" ] "C" "Initial fingerprint width."
+
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
+
+let telemetry_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "telemetry"; "telemetry-out" ] ~docv:"FILE"
+        ~doc:"Write the fleet-telemetry JSONL stream (snapshots, rates, post-mortems) to $(docv).")
 
 let domains_arg =
   Arg.(
@@ -251,6 +275,65 @@ let domains_arg =
         ~doc:
           "Engine worker domains (default: one per core).  Results are byte-identical for any \
            value; only wall-clock changes.")
+
+(* The input-size knobs of the soak and chaos matrices. *)
+type sizing = {
+  smoke : bool;
+  seed : int option;
+  trials : int option;
+  k : int option;
+  universe_bits : int option;
+  overlap : int option;
+}
+
+let sizing_term =
+  let mk smoke seed trials k universe_bits overlap =
+    { smoke; seed; trials; k; universe_bits; overlap }
+  in
+  Term.(
+    const mk $ smoke_arg $ campaign_seed_arg $ campaign_trials_arg
+    $ some_int [ "k"; "set-size" ] "K" "Input set size (overlap defaults to K/2)."
+    $ campaign_universe_arg $ overlap_arg)
+
+(* An explicit overlap wins; an explicit k alone plants k/2. *)
+let sized_overlap s base =
+  match (s.overlap, s.k) with Some o, _ -> o | None, Some k -> k / 2 | None, None -> base
+
+(* The command that regenerates a report: every knob its configuration
+   takes from a flag, spelled as the subcommand accepts it. *)
+let reproduce sub ~smoke flags =
+  String.concat " "
+    (("dune exec bin/intersect_cli.exe --" :: sub :: (if smoke then [ "--smoke" ] else []))
+    @ List.map (fun (flag, v) -> Printf.sprintf "%s %d" flag v) flags)
+
+let write_lines path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun line ->
+          Out_channel.output_string oc line;
+          Out_channel.output_char oc '\n')
+        lines);
+  Printf.eprintf "wrote %s\n" path
+
+let telemetry_sink = Option.map (fun path -> (path, Workload.Telemetry.create_sink ()))
+let write_telemetry (path, sink) = write_lines path (Workload.Telemetry.jsonl sink)
+
+(* The tail every campaign shares: write the telemetry stream, print the
+   table (or with --json the report), write --out, and exit 1 iff the
+   gate reported violations. *)
+let finish ~json ~out ~telemetry ~summary report violations =
+  Option.iter write_telemetry telemetry;
+  let text = Stats.Json.to_string_pretty report in
+  if json then print_endline text else print_string summary;
+  Option.iter (fun path -> write_lines path [ text ]) out;
+  List.iter prerr_endline violations;
+  if violations = [] then 0 else 1
+
+(* ---------- trace / profile: phase-attributed observability ---------- *)
+
+let obsv_protocol_names =
+  "trivial, full-exchange, one-round, basic, bucket, tree, tree-log-star, verified-tree, \
+   resilient, session, star, tournament"
 
 (* Run one seeded workload under a fresh collector + metrics registry.
    Returns the collected events alongside the exact execution cost. *)
@@ -386,9 +469,6 @@ let trace_cmd =
       $ obsv_players_arg $ seed_arg $ format_arg)
 
 let profile_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the breakdown as JSON instead of tables.")
-  in
   let profile_trials_arg =
     Arg.(
       value & opt int 1
@@ -512,89 +592,120 @@ let profile_cmd =
       const run $ obsv_protocol_arg $ obsv_r_arg $ obsv_k_arg $ universe_bits_arg $ overlap_arg
       $ obsv_players_arg $ seed_arg $ json_arg $ profile_trials_arg $ domains_arg)
 
+(* ---------- campaigns: soak, chaos, health, top, telemetry, sweep, regress, conform ---------- *)
+
 let soak_cmd =
-  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.") in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.") in
-  let soak_trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x plan) cell.")
-  in
-  let run smoke json trials seed k universe_bits overlap domains =
-    let base = if smoke then Workload.Soak.smoke else Workload.Soak.default in
+  let run sizing attempts check_bits json out telemetry domains =
+    let module S = Workload.Soak in
+    let base = if sizing.smoke then S.smoke else S.default in
     let config =
       {
         base with
-        Workload.Soak.seed;
-        trials = Option.value trials ~default:base.Workload.Soak.trials;
-        k;
-        universe_bits;
-        overlap = Option.value overlap ~default:(k / 2);
+        S.seed = override base.S.seed sizing.seed;
+        trials = override base.S.trials sizing.trials;
+        k = override base.S.k sizing.k;
+        universe_bits = override base.S.universe_bits sizing.universe_bits;
+        overlap = sized_overlap sizing base.S.overlap;
+        budget_attempts = override base.S.budget_attempts attempts;
+        check_bits = override base.S.check_bits check_bits;
       }
     in
-    let report = Workload.Soak.run ?domains config in
-    if json then print_endline (Stats.Json.to_string_pretty (Workload.Soak.to_json report))
-    else print_string (Workload.Soak.summary report);
-    let bad = List.filter (fun c -> not c.Workload.Soak.within_bound) report.Workload.Soak.cells in
-    List.iter
-      (fun c ->
-        Printf.eprintf "soak: %s/%s exceeded its error bound%s\n" c.Workload.Soak.protocol
-          c.Workload.Soak.plan
-          (match c.Workload.Soak.first_failure with
-          | None -> ""
-          | Some d -> Printf.sprintf " (first carried failure: %s)" d))
-      bad;
-    if bad = [] then 0 else 1
+    let reproduce =
+      reproduce "soak" ~smoke:sizing.smoke
+        [
+          ("--seed", config.S.seed);
+          ("--trials", config.S.trials);
+          ("-k", config.S.k);
+          ("--universe-bits", config.S.universe_bits);
+          ("--overlap", config.S.overlap);
+          ("--attempts", config.S.budget_attempts);
+          ("--check-bits", config.S.check_bits);
+        ]
+    in
+    let telemetry = telemetry_sink telemetry in
+    let report = S.run ?domains ?sink:(Option.map snd telemetry) config in
+    let violations =
+      List.filter_map
+        (fun c ->
+          if c.S.within_bound then None
+          else
+            Some
+              (Printf.sprintf "soak: %s/%s exceeded its error bound%s" c.S.protocol c.S.plan
+                 (match c.S.first_failure with
+                 | None -> ""
+                 | Some d -> Printf.sprintf " (first carried failure: %s)" d)))
+        report.S.cells
+    in
+    finish ~json ~out ~telemetry ~summary:(S.summary report) (S.to_json ~reproduce report)
+      violations
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Soak the resilient wrapper against adversarial channels (bench/soak.exe is the full \
-          harness; this is the quick in-CLI view).")
+         "Soak the resilient wrapper against adversarial channels: seeded trials per (protocol x \
+          fault plan) cell.  Exits non-zero if any cell exceeds its error bound.")
     Term.(
-      const run $ smoke_arg $ json_arg $ soak_trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-      $ Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
-      $ overlap_arg $ domains_arg)
+      const run $ sizing_term $ attempts_arg $ check_bits_arg $ json_arg $ out_arg $ telemetry_arg
+      $ domains_arg)
+
+let chaos_config sizing =
+  let module C = Workload.Chaos in
+  let base = if sizing.smoke then C.smoke else C.default in
+  {
+    base with
+    C.seed = override base.C.seed sizing.seed;
+    trials = override base.C.trials sizing.trials;
+    k = override base.C.k sizing.k;
+    universe_bits = override base.C.universe_bits sizing.universe_bits;
+    overlap = sized_overlap sizing base.C.overlap;
+  }
+
+let chaos_violations report =
+  List.map (( ^ ) "chaos invariant violated: ") (Workload.Chaos.invariant_violations report)
 
 let chaos_cmd =
-  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.") in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.") in
-  let chaos_trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x campaign) cell.")
-  in
-  let run smoke json trials seed k universe_bits overlap domains =
-    let base = if smoke then Workload.Chaos.smoke else Workload.Chaos.default in
+  let deadline_arg = some_int [ "deadline" ] "BITS" "Session event-time budget." in
+  let rung_attempts_arg = some_int [ "rung-attempts" ] "A" "Attempts per ladder rung." in
+  let run sizing deadline rung_attempts check_bits json out telemetry domains =
+    let module C = Workload.Chaos in
+    let base = chaos_config sizing in
     let config =
       {
         base with
-        Workload.Chaos.seed;
-        trials = Option.value trials ~default:base.Workload.Chaos.trials;
-        k;
-        universe_bits;
-        overlap = Option.value overlap ~default:(k / 2);
+        C.deadline_bits = override base.C.deadline_bits deadline;
+        rung_attempts = override base.C.rung_attempts rung_attempts;
+        check_bits0 = override base.C.check_bits0 check_bits;
       }
     in
-    let report = Workload.Chaos.run ?domains config in
-    if json then print_endline (Stats.Json.to_string_pretty (Workload.Chaos.to_json report))
-    else print_string (Workload.Chaos.summary report);
-    match Workload.Chaos.invariant_violations report with
-    | [] -> 0
-    | violations ->
-        List.iter (Printf.eprintf "chaos invariant violated: %s\n") violations;
-        1
+    let reproduce =
+      reproduce "chaos" ~smoke:sizing.smoke
+        [
+          ("--seed", config.C.seed);
+          ("--trials", config.C.trials);
+          ("-k", config.C.k);
+          ("--universe-bits", config.C.universe_bits);
+          ("--overlap", config.C.overlap);
+          ("--deadline", config.C.deadline_bits);
+          ("--rung-attempts", config.C.rung_attempts);
+          ("--check-bits", config.C.check_bits0);
+        ]
+    in
+    let telemetry = telemetry_sink telemetry in
+    let report = C.run ?domains ?sink:(Option.map snd telemetry) config in
+    finish ~json ~out ~telemetry ~summary:(C.summary report) (C.to_json ~reproduce report)
+      (chaos_violations report)
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "Run seeded chaos campaigns (corruption storms, stall bursts, mid-session \
-          crash/resume) against the session robustness layer and check the chaos invariant \
-          (bench/chaos.exe is the full harness; this is the quick in-CLI view).")
+         "Run seeded chaos campaigns (corruption storms, stall bursts, flapping links, \
+          mid-session crash/resume) against the session robustness layer.  Exits non-zero if \
+          any cell violates the chaos invariant: outcomes partition the trials, zero wrong \
+          intersections, every exercised resume byte-identical.  --telemetry also enables \
+          per-session flight recorders.")
     Term.(
-      const run $ smoke_arg $ json_arg $ chaos_trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-      $ Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
-      $ overlap_arg $ domains_arg)
+      const run $ sizing_term $ deadline_arg $ rung_attempts_arg $ check_bits_arg $ json_arg
+      $ out_arg $ telemetry_arg $ domains_arg)
 
 (* ---------- health / top: fleet telemetry over a chaos campaign ---------- *)
 
@@ -602,46 +713,15 @@ let chaos_cmd =
    deadline-squeeze campaign is excluded by default: it exists to force
    failed-safe outcomes, which would make every default health check red.
    --all-campaigns puts it back for deliberate SLO-violation drills. *)
-let fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns =
-  let base = if smoke then Workload.Chaos.smoke else Workload.Chaos.default in
-  let campaigns =
-    if all_campaigns then base.Workload.Chaos.campaigns
-    else List.filter (fun (name, _) -> name <> "deadline-squeeze") base.Workload.Chaos.campaigns
-  in
-  {
-    base with
-    Workload.Chaos.seed;
-    trials = Option.value trials ~default:base.Workload.Chaos.trials;
-    k;
-    universe_bits;
-    overlap = Option.value overlap ~default:(k / 2);
-    campaigns;
-  }
-
-let write_telemetry path sink =
-  Out_channel.with_open_text path (fun oc ->
-      List.iter
-        (fun line ->
-          Out_channel.output_string oc line;
-          Out_channel.output_char oc '\n')
-        (Workload.Telemetry.jsonl sink));
-  Printf.eprintf "telemetry stream written to %s\n" path
-
-let fleet_smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration.")
-
-let fleet_trials_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x campaign) cell.")
-
-let fleet_seed_arg = Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let fleet_k_arg =
-  Arg.(value & opt int 16 & info [ "k"; "set-size" ] ~docv:"K" ~doc:"Set-size bound.")
-
-let fleet_universe_arg =
-  Arg.(value & opt int 20 & info [ "universe-bits" ] ~docv:"B" ~doc:"Universe size 2^B.")
+let fleet_config sizing ~all_campaigns =
+  let config = chaos_config sizing in
+  if all_campaigns then config
+  else
+    {
+      config with
+      Workload.Chaos.campaigns =
+        List.filter (fun (name, _) -> name <> "deadline-squeeze") config.Workload.Chaos.campaigns;
+    }
 
 let all_campaigns_arg =
   Arg.(
@@ -650,13 +730,6 @@ let all_campaigns_arg =
         ~doc:
           "Include the deadline-squeeze campaign (deliberately drives failed-safe sessions, so \
            expect a red failed-safe-rate verdict).")
-
-let telemetry_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "telemetry-out" ] ~docv:"FILE"
-        ~doc:"Write the JSONL telemetry stream (snapshots, rates, post-mortems) to $(docv).")
 
 let slos_term =
   let some_pm names doc = Arg.(value & opt (some int) None & info names ~docv:"PM" ~doc) in
@@ -678,7 +751,7 @@ let slos_term =
         "p99 deadline-burn SLO in per-mille of the session deadline (default 900).")
 
 let health_verdict ~violations (h : Obsv.Health.report) =
-  List.iter (Printf.eprintf "chaos invariant violated: %s\n") violations;
+  List.iter prerr_endline violations;
   List.iter
     (fun (v : Obsv.Health.verdict) ->
       if not v.Obsv.Health.ok then
@@ -687,15 +760,12 @@ let health_verdict ~violations (h : Obsv.Health.report) =
   if h.Obsv.Health.ok && violations = [] then 0 else 1
 
 let health_cmd =
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the health report as JSON instead of the table.")
-  in
-  let run smoke json trials seed k universe_bits overlap all_campaigns slos telemetry_out domains =
-    let config = fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns in
+  let run sizing json all_campaigns slos telemetry_out domains =
+    let config = fleet_config sizing ~all_campaigns in
     let sink = Workload.Telemetry.create_sink () in
     let report = Workload.Chaos.run ?domains ~sink config in
-    let violations = Workload.Chaos.invariant_violations report in
-    (match telemetry_out with None -> () | Some path -> write_telemetry path sink);
+    let violations = chaos_violations report in
+    Option.iter (fun path -> write_telemetry (path, sink)) telemetry_out;
     match Workload.Telemetry.health ~slos sink with
     | None ->
         prerr_endline "health: campaign recorded no snapshots";
@@ -726,8 +796,7 @@ let health_cmd =
           failed-safe / degraded / p99-deadline-burn rates take per-mille thresholds).  Exits \
           non-zero on any SLO or chaos-invariant violation.")
     Term.(
-      const run $ fleet_smoke_arg $ json_arg $ fleet_trials_arg $ fleet_seed_arg $ fleet_k_arg
-      $ fleet_universe_arg $ overlap_arg $ all_campaigns_arg $ slos_term $ telemetry_out_arg
+      const run $ sizing_term $ json_arg $ all_campaigns_arg $ slos_term $ telemetry_arg
       $ domains_arg)
 
 let top_cmd =
@@ -768,9 +837,8 @@ let top_cmd =
       cell.Workload.Chaos.trials cell.Workload.Chaos.completed cell.Workload.Chaos.degraded
       cell.Workload.Chaos.failed_safe cell.Workload.Chaos.resumed
   in
-  let run smoke trials seed k universe_bits overlap all_campaigns no_ansi slos telemetry_out
-      domains =
-    let config = fleet_config ~smoke ~trials ~seed ~k ~universe_bits ~overlap ~all_campaigns in
+  let run sizing all_campaigns no_ansi slos telemetry_out domains =
+    let config = fleet_config sizing ~all_campaigns in
     let plan = Workload.Chaos.cells_of config in
     let total = List.length plan in
     let sink = Workload.Telemetry.create_sink () in
@@ -785,8 +853,8 @@ let top_cmd =
         plan
     in
     let report = { Workload.Chaos.config; cells } in
-    let violations = Workload.Chaos.invariant_violations report in
-    (match telemetry_out with None -> () | Some path -> write_telemetry path sink);
+    let violations = chaos_violations report in
+    Option.iter (fun path -> write_telemetry (path, sink)) telemetry_out;
     match Workload.Telemetry.health ~slos sink with
     | None ->
         prerr_endline "top: campaign recorded no snapshots";
@@ -804,17 +872,138 @@ let top_cmd =
           spend-sketch percentiles), finishing with the SLO health table.  Frames are \
           event-time snapshots, so the stream is deterministic for a fixed seed.")
     Term.(
-      const run $ fleet_smoke_arg $ fleet_trials_arg $ fleet_seed_arg $ fleet_k_arg
-      $ fleet_universe_arg $ overlap_arg $ all_campaigns_arg $ no_ansi_arg $ slos_term
-      $ telemetry_out_arg $ domains_arg)
+      const run $ sizing_term $ all_campaigns_arg $ no_ansi_arg $ slos_term $ telemetry_arg
+      $ domains_arg)
+
+let telemetry_cmd =
+  let sessions_arg = some_int [ "sessions" ] "N" "Sessions per pass." in
+  let max_ratio_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-ratio" ] ~docv:"R"
+          ~doc:"Fail when the telemetry-on/off wall-clock ratio exceeds R.")
+  in
+  let run smoke seed k universe_bits sessions json out max_ratio =
+    let module T = Workload.Telemetry in
+    let base = if smoke then T.overhead_smoke else T.overhead_default in
+    let config =
+      {
+        T.seed = override base.T.seed seed;
+        k = override base.T.k k;
+        universe_bits = override base.T.universe_bits universe_bits;
+        sessions = override base.T.sessions sessions;
+      }
+    in
+    let reproduce =
+      reproduce "telemetry" ~smoke
+        [
+          ("--seed", config.T.seed);
+          ("-k", config.T.k);
+          ("--universe-bits", config.T.universe_bits);
+          ("--sessions", config.T.sessions);
+        ]
+    in
+    let report = T.run_overhead config in
+    let violations =
+      (if report.T.deterministic_match then []
+       else [ "telemetry: deterministic session fields diverged between passes" ])
+      @
+      match max_ratio with
+      | Some bound when report.T.ratio > bound ->
+          [
+            Printf.sprintf "telemetry: overhead ratio %.3f exceeds bound %.3f" report.T.ratio
+              bound;
+          ]
+      | _ -> []
+    in
+    finish ~json ~out ~telemetry:None
+      ~summary:(T.overhead_summary report ^ "\n")
+      (T.overhead_json ~reproduce report) violations
+  in
+  Cmd.v
+    (Cmd.info "telemetry"
+       ~doc:
+         "Measure the hot-path overhead of the fleet-telemetry layer: the same seeded \
+          clean-link sessions run with telemetry off, then on, and the deterministic session \
+          fields must be identical between the passes.  With --max-ratio, exits non-zero when \
+          the on/off wall-clock ratio exceeds the bound.")
+    Term.(
+      const run $ smoke_arg $ campaign_seed_arg
+      $ some_int [ "k" ] "K" "Input set size per session."
+      $ campaign_universe_arg $ sessions_arg $ json_arg $ out_arg $ max_ratio_arg)
+
+let sweep_cmd =
+  let run smoke seed trials universe_bits attempts check_bits json out telemetry domains =
+    let module W = Workload.Sweep in
+    let base = if smoke then W.smoke else W.default in
+    let config =
+      {
+        base with
+        W.seed = override base.W.seed seed;
+        trials_per_cell = override base.W.trials_per_cell trials;
+        universe_bits = override base.W.universe_bits universe_bits;
+        budget_attempts = override base.W.budget_attempts attempts;
+        check_bits = override base.W.check_bits check_bits;
+      }
+    in
+    let reproduce =
+      reproduce "sweep" ~smoke
+        [
+          ("--seed", config.W.seed);
+          ("--trials", config.W.trials_per_cell);
+          ("--universe-bits", config.W.universe_bits);
+          ("--attempts", config.W.budget_attempts);
+          ("--check-bits", config.W.check_bits);
+        ]
+    in
+    let telemetry = telemetry_sink telemetry in
+    match W.run ?domains ?sink:(Option.map snd telemetry) config with
+    | exception Invalid_argument m ->
+        prerr_endline ("sweep: " ^ m);
+        2
+    | report ->
+        let violations =
+          List.filter_map
+            (fun (c : W.cell) ->
+              if c.W.pass then None
+              else
+                Some
+                  (Printf.sprintf "sweep: %s/%s k=%d violated its envelope (%d/%d failures)"
+                     c.W.protocol
+                     (Option.value c.W.plan ~default:"clean")
+                     c.W.k c.W.failures c.W.trials))
+            report.W.cells
+        in
+        finish ~json ~out ~telemetry ~summary:(W.summary report) (W.to_json ~reproduce report)
+          violations
+  in
+  Cmd.v
+    (Cmd.info "sweep"
+       ~doc:
+         "Mega-sweep conformance matrix: stream 10^6+ seeded trials over protocol x k x \
+          fault-plan cells through the trial engine, gating each cell's failure count against \
+          the paper's 1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's \
+          rare-event bound.  Byte-identical report at every --domains value.  Exits non-zero \
+          on any envelope violation.")
+    Term.(
+      const run $ smoke_arg $ campaign_seed_arg $ campaign_trials_arg $ campaign_universe_arg
+      $ attempts_arg $ check_bits_arg $ json_arg $ out_arg $ telemetry_arg $ domains_arg)
+
+let ks_arg =
+  Arg.(
+    value
+    & opt (some (list int)) None
+    & info [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated).")
+
+let protocols_arg names =
+  Arg.(
+    value
+    & opt (some (list string)) None
+    & info [ "protocols" ] ~docv:"P,P,..."
+        ~doc:("Comma-separated subset (default: all of " ^ String.concat ", " names ^ ")."))
 
 let bench_regress_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale subset (k = 64 only, 2 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the full JSON report to stdout.")
-  in
   let deterministic_arg =
     Arg.(
       value & flag
@@ -822,13 +1011,6 @@ let bench_regress_cmd =
           ~doc:
             "Print only the seeded fields (bits, messages, rounds) as JSON; two runs of the \
              same config must be byte-identical.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the full JSON report (the BENCH_hotpath.json shape).")
   in
   let baseline_arg =
     Arg.(
@@ -845,134 +1027,77 @@ let bench_regress_cmd =
       & info [ "tolerance" ] ~docv:"F"
           ~doc:"Allowed fractional timing regression vs the baseline (0.5 allows 1.5x).")
   in
-  let trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Seeded trials per cell.")
-  in
-  let ks_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated).")
-  in
-  let protocols_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "protocols" ] ~docv:"P,P,..."
-          ~doc:
-            ("Protocols to bench, comma-separated (default: all of "
-            ^ String.concat ", " Workload.Regress.protocol_names
-            ^ ")."))
-  in
   let run smoke json deterministic out baseline tolerance seed trials ks protocols =
-    let base = if smoke then Workload.Regress.smoke else Workload.Regress.default in
+    let module G = Workload.Regress in
+    let base = if smoke then G.smoke else G.default in
     let config =
       {
         base with
-        Workload.Regress.seed;
-        trials = Option.value trials ~default:base.Workload.Regress.trials;
-        ks = Option.value ks ~default:base.Workload.Regress.ks;
-        protocols = Option.value protocols ~default:base.Workload.Regress.protocols;
+        G.seed = override base.G.seed seed;
+        trials = override base.G.trials trials;
+        ks = override base.G.ks ks;
+        protocols = override base.G.protocols protocols;
       }
     in
-    match Workload.Regress.run config with
+    match G.run config with
     | exception Invalid_argument m ->
         prerr_endline ("bench-regress: " ^ m);
         2
     | report -> (
         if deterministic then
-          print_endline
-            (Stats.Json.to_string_pretty (Workload.Regress.deterministic_json report))
-        else if json then
-          print_endline (Stats.Json.to_string_pretty (Workload.Regress.to_json report))
-        else print_string (Workload.Regress.summary report);
-        (match out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Stats.Json.to_string_pretty (Workload.Regress.to_json report));
-                Out_channel.output_char oc '\n');
-            Printf.eprintf "wrote %s\n" path);
+          print_endline (Stats.Json.to_string_pretty (G.deterministic_json report))
+        else if json then print_endline (Stats.Json.to_string_pretty (G.to_json report))
+        else print_string (G.summary report);
+        Option.iter
+          (fun path -> write_lines path [ Stats.Json.to_string_pretty (G.to_json report) ])
+          out;
         match baseline with
         | None -> 0
         | Some path -> (
             let contents = In_channel.with_open_text path In_channel.input_all in
-            match Stats.Json.of_string contents with
+            match
+              Result.bind (Stats.Json.of_string contents) (G.compare_baseline ~tolerance report)
+            with
             | Error e ->
-                Printf.eprintf "bench-regress: cannot parse %s: %s\n" path e;
+                Printf.eprintf "bench-regress: %s: %s\n" path e;
                 2
-            | Ok bjson -> (
-                match Workload.Regress.compare_baseline ~tolerance report bjson with
-                | Error e ->
-                    Printf.eprintf "bench-regress: %s\n" e;
-                    2
-                | Ok (compared, []) ->
-                    Printf.eprintf
-                      "baseline check: %d cell(s) compared, all within tolerance %.2f\n" compared
-                      tolerance;
-                    0
-                | Ok (compared, violations) ->
-                    Printf.eprintf "baseline check: %d cell(s) compared, %d violation(s):\n"
-                      compared (List.length violations);
-                    List.iter
-                      (fun v -> Printf.eprintf "  %s\n" (Workload.Regress.violation_message v))
-                      violations;
-                    1)))
+            | Ok (compared, []) ->
+                Printf.eprintf "baseline check: %d cell(s) compared, all within tolerance %.2f\n"
+                  compared tolerance;
+                0
+            | Ok (compared, violations) ->
+                Printf.eprintf "baseline check: %d cell(s) compared, %d violation(s):\n" compared
+                  (List.length violations);
+                List.iter (fun v -> Printf.eprintf "  %s\n" (G.violation_message v)) violations;
+                1))
   in
   Cmd.v
     (Cmd.info "bench-regress"
        ~doc:
          "Hot-path performance regression bench: seeded end-to-end runs of every registered \
           protocol measuring ns/run and allocation bytes/run, with exact (deterministic) bit, \
-          message and round counts.  With --baseline, enforces exact transcript fields and \
+          message and round counts.  --smoke runs k = 64 only; --out writes the \
+          BENCH_hotpath.json shape.  With --baseline, enforces exact transcript fields and \
           tolerance-bounded timings against a committed BENCH_hotpath.json.")
     Term.(
       const run $ smoke_arg $ json_arg $ deterministic_arg $ out_arg $ baseline_arg
-      $ tolerance_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ trials_arg $ ks_arg $ protocols_arg)
+      $ tolerance_arg $ campaign_seed_arg $ campaign_trials_arg $ ks_arg
+      $ protocols_arg Workload.Regress.protocol_names)
 
 let conform_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale configuration (k = 16, 25 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "trials" ] ~docv:"N" ~doc:"Trials per (protocol x k) cell.")
-  in
-  let ks_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "k"; "set-size" ] ~docv:"K,K,..." ~doc:"Set-size sweep (comma-separated).")
-  in
-  let protocols_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "protocols" ] ~docv:"P,P,..."
-          ~doc:
-            ("Statements to check, comma-separated (default: all of "
-            ^ String.concat ", " Workload.Conform.entry_names
-            ^ ")."))
-  in
   let run smoke json trials seed ks protocols domains =
-    let base = if smoke then Workload.Conform.smoke else Workload.Conform.default in
+    let module F = Workload.Conform in
+    let base = if smoke then F.smoke else F.default in
     let config =
       {
         base with
-        Workload.Conform.seed;
-        trials = Option.value trials ~default:base.Workload.Conform.trials;
-        ks = Option.value ks ~default:base.Workload.Conform.ks;
-        protocols = Option.value protocols ~default:base.Workload.Conform.protocols;
+        F.seed = override base.F.seed seed;
+        trials = override base.F.trials trials;
+        ks = override base.F.ks ks;
+        protocols = override base.F.protocols protocols;
       }
     in
-    match Workload.Conform.run ?domains config with
+    match F.run ?domains config with
     | exception Invalid_argument m ->
         prerr_endline ("conform: " ^ m);
         2
@@ -980,104 +1105,53 @@ let conform_cmd =
         if json then
           print_endline
             (Stats.Json.to_string_pretty
-               (Workload.Conform.to_json ~reproduce:"intersect_cli conform" report))
-        else print_string (Workload.Conform.summary report);
-        if report.Workload.Conform.pass then 0 else 1
+               (F.to_json ~reproduce:"intersect_cli conform" report))
+        else print_string (F.summary report);
+        if report.F.pass then 0 else 1
   in
   Cmd.v
     (Cmd.info "conform"
        ~doc:
          "Theorem-conformance tier: run seeded trial sweeps on the engine and assert every \
           protocol stays inside its paper envelope (rounds budget per trial, constant-factor \
-          bits envelope on the mean, Wilson-bounded error rate).  Exits non-zero on any \
-          envelope violation.")
+          bits envelope on the mean, Wilson-bounded error rate).  --smoke checks k = 16 at 25 \
+          trials.  Exits non-zero on any envelope violation.")
     Term.(
-      const run $ smoke_arg $ json_arg $ trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ ks_arg $ protocols_arg $ domains_arg)
+      const run $ smoke_arg $ json_arg $ campaign_trials_arg $ campaign_seed_arg $ ks_arg
+      $ protocols_arg Workload.Conform.entry_names $ domains_arg)
 
-let sweep_cmd =
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Seconds-scale matrix (3 cells, 1200 trials).")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Print the JSON report instead of the table.")
-  in
-  let trials_arg =
-    Arg.(value & opt (some int) None & info [ "trials" ] ~docv:"N" ~doc:"Trials per matrix cell.")
-  in
-  let out_arg =
+(* JSON validation over stdin: the input must parse as one JSON value
+   followed only by whitespace, and with a MODE it must also pass that
+   schema from the shared [Workload.Schemas] catalogue — the checks the
+   experiment registry runs inside [experiments verify]. *)
+let check_cmd =
+  let mode_arg =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON report (the BENCH_sweep.json shape).")
+      & pos 0 (some (enum (List.map (fun m -> (m, m)) Workload.Schemas.modes))) None
+      & info [] ~docv:"MODE"
+          ~doc:("Schema mode, one of: " ^ String.concat ", " Workload.Schemas.modes ^ "."))
   in
-  let telemetry_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"FILE"
-          ~doc:"Write the fleet-telemetry JSONL stream (per-cell snapshots) here.")
-  in
-  let run smoke json trials seed out telemetry_out domains =
-    let base = if smoke then Workload.Sweep.smoke else Workload.Sweep.default in
-    let config =
-      {
-        base with
-        Workload.Sweep.seed;
-        trials_per_cell = Option.value trials ~default:base.Workload.Sweep.trials_per_cell;
-      }
+  let run mode =
+    let input = In_channel.input_all In_channel.stdin in
+    let result =
+      match (Stats.Json.of_string input, mode) with
+      | Error msg, _ -> Error msg
+      | Ok _, None -> Ok ()
+      | Ok _, Some mode -> Workload.Schemas.check ~mode input
     in
-    let reproduce =
-      Printf.sprintf "intersect_cli sweep%s --seed %d --trials %d"
-        (if smoke then " --smoke" else "")
-        config.Workload.Sweep.seed config.Workload.Sweep.trials_per_cell
-    in
-    let sink =
-      match telemetry_out with None -> None | Some _ -> Some (Workload.Telemetry.create_sink ())
-    in
-    match Workload.Sweep.run ?domains ?sink config with
-    | exception Invalid_argument m ->
-        prerr_endline ("sweep: " ^ m);
-        2
-    | report ->
-        (match (telemetry_out, sink) with
-        | Some path, Some sink -> write_telemetry path sink
-        | _ -> ());
-        if json then
-          print_endline (Stats.Json.to_string_pretty (Workload.Sweep.to_json ~reproduce report))
-        else print_string (Workload.Sweep.summary report);
-        (match out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Stats.Json.to_string_pretty (Workload.Sweep.to_json ~reproduce report));
-                Out_channel.output_char oc '\n');
-            Printf.eprintf "wrote %s\n" path);
-        List.iter
-          (fun (c : Workload.Sweep.cell) ->
-            if not c.Workload.Sweep.pass then
-              Printf.eprintf "sweep: %s/%s k=%d violated its envelope (%d/%d failures)\n"
-                c.Workload.Sweep.protocol
-                (Option.value c.Workload.Sweep.plan ~default:"clean")
-                c.Workload.Sweep.k c.Workload.Sweep.failures c.Workload.Sweep.trials)
-          report.Workload.Sweep.cells;
-        if report.Workload.Sweep.pass then 0 else 1
+    match result with
+    | Ok () -> 0
+    | Error msg ->
+        prerr_endline ("check: " ^ msg);
+        1
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "check"
        ~doc:
-         "Mega-sweep conformance matrix: stream 10^6+ seeded trials over protocol x k x \
-          fault-plan cells through the trial engine, gating each cell's failure count against \
-          the paper's 1/poly(k) envelope (Wilson 95% bounds) or the resilient wrapper's \
-          rare-event bound.  Byte-identical report at every --domains value.  Exits non-zero \
-          on any envelope violation (bench/sweep.exe is the full harness; this is the in-CLI \
-          runner).")
-    Term.(
-      const run $ smoke_arg $ json_arg $ trials_arg
-      $ Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-      $ out_arg $ telemetry_arg $ domains_arg)
+         "Validate JSON on stdin (RFC 8259: one value, then only whitespace), and with a MODE \
+          against that artifact's schema.  Exits 1 on invalid input.")
+    Term.(const run $ mode_arg)
 
 (* The hypothesis-driven experiment registry (experiments/NNN-slug.md;
    see experiments/README.md).  [verify] receives the group's own
@@ -1227,7 +1301,7 @@ let experiments_cmd ~cli_subcommands =
       (Cmd.info "export"
          ~doc:
            "Print the experiments.json index (byte-identical across runs; validated by \
-            json_check --experiments).")
+            check experiments).")
       Term.(const run $ root_arg)
   in
   Cmd.group
@@ -1236,6 +1310,7 @@ let experiments_cmd ~cli_subcommands =
          "The hypothesis-driven experiment registry over experiments/NNN-slug.md (lifecycle \
           Draft | Running | Complete | Superseded; see experiments/README.md).")
     [ list_cmd; show_cmd; verify_cmd; export_cmd ]
+
 
 let () =
   let doc = "Set-intersection communication protocols (PODC'14 reproduction)." in
@@ -1249,11 +1324,13 @@ let () =
       chaos_cmd;
       health_cmd;
       top_cmd;
+      telemetry_cmd;
       bench_regress_cmd;
       conform_cmd;
       sweep_cmd;
       trace_cmd;
       profile_cmd;
+      check_cmd;
     ]
   in
   let cli_subcommands = List.sort compare ("experiments" :: List.map Cmd.name base) in

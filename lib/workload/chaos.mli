@@ -111,7 +111,7 @@ val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 val invariant_violations : report -> string list
 
 (** Machine-readable report; the top-level marker field is
-    ["bench": "chaos"] (checked by [json_check --bench-chaos]). *)
+    ["bench": "chaos"] (checked by [intersect_cli check bench-chaos]). *)
 val to_json : ?reproduce:string -> report -> Stats.Json.t
 
 (** Human-readable per-cell table. *)

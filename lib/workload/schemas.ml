@@ -1,7 +1,7 @@
-(* One named checker per committed JSON artifact.  These used to live
-   inside bin/json_check.ml; they moved here so the experiment registry
-   can enforce "the artifact passes its json_check mode" with the exact
-   code path the command-line validator runs. *)
+(* One named checker per committed JSON artifact, shared by
+   `intersect_cli check` and the experiment registry, so "the artifact
+   passes its json_check mode" runs the exact same code path on the
+   command line and inside `experiments verify`. *)
 
 module J = Stats.Json
 

@@ -3,10 +3,11 @@
 
     Every committed artifact (the [BENCH_*.json] reports, the linter's
     report/SARIF exports, the [experiments.json] registry index) has a
-    named schema mode here; [bin/json_check.exe --<mode>] and the
+    named schema mode here; [intersect_cli check <mode>] and the
     experiment registry ({!Registry}) validate against the same
-    implementations, so "the artifact passes its [json_check] mode" means
-    the same thing on the command line and inside [experiments verify].
+    implementations, so "the artifact passes its [json_check] mode" (the
+    registry's frontmatter field) means the same thing on the command
+    line and inside [experiments verify].
 
     Checks are pure string -> result functions over {!Stats.Json}; they
     never touch the filesystem. *)

@@ -93,7 +93,7 @@ val clean_cell : ?domains:int -> config -> Conform.entry -> k:int -> cell
 val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 
 (** Marker field ["bench": "sweep"] (checked by
-    [json_check --bench-sweep]). *)
+    [intersect_cli check bench-sweep]). *)
 val to_json : ?reproduce:string -> report -> Stats.Json.t
 
 (** Human-readable cell table. *)

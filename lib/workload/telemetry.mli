@@ -93,7 +93,7 @@ type overhead_report = {
 val run_overhead : overhead_config -> overhead_report
 
 (** Marker field ["bench": "telemetry"] (checked by
-    [json_check --bench-telemetry]). *)
+    [intersect_cli check bench-telemetry]). *)
 val overhead_json : ?reproduce:string -> overhead_report -> Stats.Json.t
 
 val overhead_summary : overhead_report -> string

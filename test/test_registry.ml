@@ -1,7 +1,8 @@
 (* The experiment registry (Workload.Registry): frontmatter round-trip,
    id-discipline rejection, dangling-artifact / unknown-key / stale-command
-   detection over in-memory envs, Superseded exemptions, regen planning,
-   and the committed experiments.json as a golden, byte-stable export. *)
+   (entry and embedded-artifact) detection over in-memory envs, Superseded
+   exemptions, regen planning, and the committed experiments.json as a
+   golden, byte-stable export. *)
 
 module R = Workload.Registry
 
@@ -189,6 +190,26 @@ let test_artifact_schema_mode () =
     (has_violation ~substring:"fails json_check"
        (verify ~files:artifact_files (with_artifact ~json_check:"bench-chaos" ())))
 
+(* The command an artifact embeds in its "reproduce" field goes through the
+   same stale-command check as the entry's own reproduce line. *)
+let test_artifact_reproduce () =
+  let files reproduce =
+    ("BENCH_fixture.json", Printf.sprintf "{\"total\": 7, \"reproduce\": %S}\n" reproduce)
+    :: ("bin/intersect_cli.ml", "")
+    :: base_files
+  in
+  let verify_embedding reproduce = verify ~files:(files reproduce) (with_artifact ()) in
+  check_int "live embedded command accepted" 0
+    (List.length (verify_embedding "dune exec bin/intersect_cli.exe -- sweep --seed 2014"));
+  check_bool "deleted binary reported" true
+    (has_violation
+       ~substring:"artifact BENCH_fixture.json reproduce command names bench/chaos.exe but \
+                   bench/chaos.ml does not exist"
+       (verify_embedding "dune exec bench/chaos.exe -- --seed 2014 --trials 200"));
+  check_bool "stale subcommand reported" true
+    (has_violation ~substring:"stale intersect_cli subcommand \"goneaway\""
+       (verify_embedding "dune exec bin/intersect_cli.exe -- goneaway --smoke"))
+
 let test_unclaimed_bench () =
   let registry = registry_of [ (fixture.R.file, entry_doc) ] in
   check_bool "unclaimed BENCH reported" true
@@ -298,8 +319,8 @@ let test_regen_plan_dedup () =
 
 let repo_cli_subcommands =
   [
-    "bench-regress"; "chaos"; "conform"; "disj"; "experiments"; "health"; "multi"; "profile";
-    "similarity"; "soak"; "sweep"; "top"; "trace"; "two";
+    "bench-regress"; "chaos"; "check"; "conform"; "disj"; "experiments"; "health"; "multi";
+    "profile"; "similarity"; "soak"; "sweep"; "telemetry"; "top"; "trace"; "two";
   ]
 
 let load_repo () =
@@ -346,6 +367,7 @@ let () =
           Alcotest.test_case "dangling artifact" `Quick test_dangling_artifact;
           Alcotest.test_case "artifact keys" `Quick test_artifact_keys;
           Alcotest.test_case "schema modes" `Quick test_artifact_schema_mode;
+          Alcotest.test_case "embedded reproduce" `Quick test_artifact_reproduce;
           Alcotest.test_case "unclaimed BENCH" `Quick test_unclaimed_bench;
         ] );
       ( "commands",

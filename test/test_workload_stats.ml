@@ -230,6 +230,81 @@ let test_table_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch") (fun () ->
       Stats.Table.add_row t [ "1" ])
 
+(* ---------- Json parser ---------- *)
+
+(* Stats.Json.of_string is the one JSON grammar behind every schema gate
+   (intersect_cli check, experiments verify, the regress baseline), so its
+   rejections are pinned here case by case. *)
+let test_json_rejections () =
+  List.iter
+    (fun (what, input) ->
+      check_bool what true (Result.is_error (Stats.Json.of_string input)))
+    [
+      ("empty input", "");
+      ("whitespace only", "  \n");
+      ("trailing garbage", "{\"a\": 1} x");
+      ("two values", "[] []");
+      ("raw control character in a string", "\"a\tb\"");
+      ("bad \\u escape", "\"\\u12g4\"");
+      ("short \\u escape", "\"\\u12\"");
+      ("unknown escape", "\"\\q\"");
+      ("leading zero", "01");
+      ("bare fraction point", "1.");
+      ("lone minus", "-");
+      ("bare exponent", "1e");
+      ("unterminated array", "[1, 2");
+      ("unterminated object", "{\"a\": 1");
+      ("unterminated string", "\"abc");
+      ("missing colon", "{\"a\" 1}");
+      ("trailing comma", "[1,]");
+      ("bad literal", "nul");
+    ];
+  check_bool "escapes decode" true
+    (Stats.Json.of_string " [\"\\u0041\\n\", -0.5e1, 0, true, null] "
+    = Ok (Stats.Json.List [ Str "A\n"; Float (-5.0); Int 0; Bool true; Null ]))
+
+(* Every value the emitter can print parses back to itself.  Floats are
+   drawn from the emitter's %.12g grid (finer digits are not printed) and
+   strings are arbitrary bytes, control characters included. *)
+let json_gen =
+  let open QCheck.Gen in
+  let float_on_grid =
+    float >|= fun f ->
+    Stats.Json.Float
+      (if Float.is_finite f then float_of_string (Printf.sprintf "%.12g" f) else 0.5)
+  in
+  let str = string_size ~gen:char (int_bound 8) in
+  let leaf =
+    oneof
+      [
+        return Stats.Json.Null;
+        map (fun b -> Stats.Json.Bool b) bool;
+        map (fun i -> Stats.Json.Int i) int;
+        float_on_grid;
+        map (fun s -> Stats.Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Stats.Json.List l) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Stats.Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string_pretty v) = Ok v" ~count:500
+    (QCheck.make ~print:Stats.Json.to_string json_gen)
+    (fun v ->
+      Stats.Json.of_string (Stats.Json.to_string_pretty v) = Ok v
+      && Stats.Json.of_string (Stats.Json.to_string v) = Ok v)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "workload-stats"
@@ -274,4 +349,6 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity;
         ] );
+      ( "json",
+        [ Alcotest.test_case "rejections" `Quick test_json_rejections; qt prop_json_roundtrip ] );
     ]

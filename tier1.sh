@@ -11,6 +11,9 @@
 # experiment-registry gate (experiments/ coherence + regen smoke).
 set -eu
 cd "$(dirname "$0")"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cli=./_build/default/bin/intersect_cli.exe
 
 dune build
 dune runtest
@@ -25,72 +28,67 @@ dune runtest
 # and the linter must be deterministic: two consecutive runs over the
 # same tree are byte-identical, in both formats.
 dune build @check @lint
-dune exec bin/intersect_lint.exe -- --json | ./_build/default/bin/json_check.exe --lint-report
-dune exec bin/intersect_lint.exe -- --sarif | ./_build/default/bin/json_check.exe --lint-sarif
-lint_a=$(mktemp) && lint_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b"' EXIT
-dune exec bin/intersect_lint.exe -- --json > "$lint_a"
-dune exec bin/intersect_lint.exe -- --json > "$lint_b"
-cmp "$lint_a" "$lint_b"
-dune exec bin/intersect_lint.exe -- --sarif > "$lint_a"
-dune exec bin/intersect_lint.exe -- --sarif > "$lint_b"
-cmp "$lint_a" "$lint_b"
+dune exec bin/intersect_lint.exe -- --json | "$cli" check lint-report
+dune exec bin/intersect_lint.exe -- --sarif | "$cli" check lint-sarif
+dune exec bin/intersect_lint.exe -- --json > "$tmp/lint_a"
+dune exec bin/intersect_lint.exe -- --json > "$tmp/lint_b"
+cmp "$tmp/lint_a" "$tmp/lint_b"
+dune exec bin/intersect_lint.exe -- --sarif > "$tmp/lint_a"
+dune exec bin/intersect_lint.exe -- --sarif > "$tmp/lint_b"
+cmp "$tmp/lint_a" "$tmp/lint_b"
 
-dune exec bench/soak.exe -- --smoke --trials 12
+dune exec bin/intersect_cli.exe -- soak --smoke --trials 12
 
 dune exec bin/intersect_cli.exe -- trace --protocol bucket -k 64 --seed 1 \
-  | ./_build/default/bin/json_check.exe
+  | "$cli" check
 dune exec bin/intersect_cli.exe -- profile --protocol bucket -k 64 --seed 1 > /dev/null
 
 # Engine smoke: the theorem-conformance tier on two worker domains (exits
 # non-zero on any envelope violation), and the engine's determinism
 # contract — the soak report must be byte-identical at 1 and 2 domains.
 dune exec bin/intersect_cli.exe -- conform --smoke --domains 2 > /dev/null
-soak_d1=$(mktemp) && soak_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2"' EXIT
-dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 1 > "$soak_d1"
-dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 2 > "$soak_d2"
-cmp "$soak_d1" "$soak_d2"
+dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 1 > "$tmp/soak_d1"
+dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 2 > "$tmp/soak_d2"
+cmp "$tmp/soak_d1" "$tmp/soak_d2"
 
 # Chaos campaign smoke: the committed BENCH_chaos.json must be
 # schema-valid (outcome taxonomy partitions the trials, zero wrong
 # intersections, every resume replayed identically), a seconds-scale
-# campaign must uphold the same invariant live (chaos.exe exits non-zero
-# on any violation), and two runs of the same campaign must emit
-# byte-identical reports.
-./_build/default/bin/json_check.exe --bench-chaos < BENCH_chaos.json
-chaos_a=$(mktemp) && chaos_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b"' EXIT
-dune exec bench/chaos.exe -- --smoke --json > "$chaos_a"
-dune exec bench/chaos.exe -- --smoke --json --domains 2 > "$chaos_b"
-cmp "$chaos_a" "$chaos_b"
+# campaign must uphold the same invariant live (chaos exits non-zero on
+# any violation), two runs of the same campaign must emit byte-identical
+# reports, and the reproduce command the report embeds must run verbatim
+# and regenerate it byte for byte.
+"$cli" check bench-chaos < BENCH_chaos.json
+dune exec bin/intersect_cli.exe -- chaos --smoke --json > "$tmp/chaos_a"
+dune exec bin/intersect_cli.exe -- chaos --smoke --json --domains 2 > "$tmp/chaos_b"
+cmp "$tmp/chaos_a" "$tmp/chaos_b"
+reproduce=$(sed -n 's/^  "reproduce": "\(.*\)",$/\1/p' "$tmp/chaos_a")
+test -n "$reproduce"
+$reproduce --json > "$tmp/chaos_b"
+cmp "$tmp/chaos_a" "$tmp/chaos_b"
 
 # Hot-path regression smoke: the committed BENCH_hotpath.json must be
 # schema-valid, the k=64 sweep must reproduce its deterministic fields
 # (bits / messages / rounds) exactly — timings get a generous 4x headroom
 # so shared CI machines don't flake — and two runs of the same config must
 # emit byte-identical deterministic reports.
-./_build/default/bin/json_check.exe --bench-hotpath < BENCH_hotpath.json
-dune exec bench/regress.exe -- --smoke --trials 3 --baseline BENCH_hotpath.json --tolerance 3.0 > /dev/null
-det_a=$(mktemp) && det_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b"' EXIT
-dune exec bench/regress.exe -- --smoke --deterministic-json > "$det_a"
-dune exec bench/regress.exe -- --smoke --deterministic-json > "$det_b"
-cmp "$det_a" "$det_b"
+"$cli" check bench-hotpath < BENCH_hotpath.json
+dune exec bin/intersect_cli.exe -- bench-regress --smoke --trials 3 --baseline BENCH_hotpath.json --tolerance 3.0 > /dev/null
+dune exec bin/intersect_cli.exe -- bench-regress --smoke --deterministic-json > "$tmp/det_a"
+dune exec bin/intersect_cli.exe -- bench-regress --smoke --deterministic-json > "$tmp/det_b"
+cmp "$tmp/det_a" "$tmp/det_b"
 
 # Mega-sweep smoke: the committed BENCH_sweep.json must be schema-valid
 # (Wilson bounds ordered, per-cell gate conjunction, trial counts summing
 # to total_trials), a seconds-scale smoke matrix must pass its envelopes
-# live (sweep.exe exits non-zero on any violating cell), the report must
+# live (sweep exits non-zero on any violating cell), the report must
 # be byte-identical at 1 and 2 worker domains, and the bucket k=1024 hot
 # path must not allocate more per trial than the committed seed baseline.
-./_build/default/bin/json_check.exe --bench-sweep < BENCH_sweep.json
-sweep_d1=$(mktemp) && sweep_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$sweep_d1" "$sweep_d2"' EXIT
-dune exec bench/sweep.exe -- --smoke --trials 60 --json --domains 1 > "$sweep_d1"
-dune exec bench/sweep.exe -- --smoke --trials 60 --json --domains 2 > "$sweep_d2"
-cmp "$sweep_d1" "$sweep_d2"
-./_build/default/bin/json_check.exe --bench-sweep < "$sweep_d1"
+"$cli" check bench-sweep < BENCH_sweep.json
+dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 1 > "$tmp/sweep_d1"
+dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 2 > "$tmp/sweep_d2"
+cmp "$tmp/sweep_d1" "$tmp/sweep_d2"
+"$cli" check bench-sweep < "$tmp/sweep_d1"
 dune exec bench/main.exe -- --alloc-gate
 
 # Fleet telemetry smoke: the committed BENCH_telemetry.json must be
@@ -100,15 +98,13 @@ dune exec bench/main.exe -- --alloc-gate
 # machines), the chaos telemetry stream must be byte-identical run-to-run
 # and across domain counts, and the health/top views must come back green
 # on the default (deadline-squeeze-free) campaign set.
-./_build/default/bin/json_check.exe --bench-telemetry < BENCH_telemetry.json
-dune exec bench/telemetry.exe -- --smoke --max-ratio 3.0 > /dev/null
-tel_a=$(mktemp) && tel_b=$(mktemp) && tel_d2=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$tel_a" "$tel_b" "$tel_d2"' EXIT
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_a" > /dev/null
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_b" > /dev/null
-dune exec bench/chaos.exe -- --smoke --trials 4 --telemetry "$tel_d2" --domains 2 > /dev/null
-cmp "$tel_a" "$tel_b"
-cmp "$tel_a" "$tel_d2"
+"$cli" check bench-telemetry < BENCH_telemetry.json
+dune exec bin/intersect_cli.exe -- telemetry --smoke --max-ratio 3.0 > /dev/null
+dune exec bin/intersect_cli.exe -- chaos --smoke --trials 4 --telemetry "$tmp/tel_a" > /dev/null
+dune exec bin/intersect_cli.exe -- chaos --smoke --trials 4 --telemetry "$tmp/tel_b" > /dev/null
+dune exec bin/intersect_cli.exe -- chaos --smoke --trials 4 --telemetry "$tmp/tel_d2" --domains 2 > /dev/null
+cmp "$tmp/tel_a" "$tmp/tel_b"
+cmp "$tmp/tel_a" "$tmp/tel_d2"
 dune exec bin/intersect_cli.exe -- health --smoke --trials 4 > /dev/null
 dune exec bin/intersect_cli.exe -- top --smoke --trials 4 --no-ansi > /dev/null
 
@@ -121,14 +117,12 @@ dune exec bin/intersect_cli.exe -- top --smoke --trials 4 --no-ansi > /dev/null
 # unchanged (gate entries exit 0, diff entries emit byte-identical
 # stdout across two runs).
 dune build @experiments
-./_build/default/bin/json_check.exe --experiments < experiments.json
-exp_a=$(mktemp) && exp_b=$(mktemp)
-trap 'rm -f "$lint_a" "$lint_b" "$soak_d1" "$soak_d2" "$chaos_a" "$chaos_b" "$det_a" "$det_b" "$sweep_d1" "$sweep_d2" "$tel_a" "$tel_b" "$tel_d2" "$exp_a" "$exp_b"' EXIT
-./_build/default/bin/intersect_cli.exe experiments export > "$exp_a"
-./_build/default/bin/intersect_cli.exe experiments export > "$exp_b"
-cmp "$exp_a" "$exp_b"
-cmp "$exp_a" experiments.json
-./_build/default/bin/intersect_cli.exe experiments verify --regen-smoke > /dev/null
+"$cli" check experiments < experiments.json
+"$cli" experiments export > "$tmp/exp_a"
+"$cli" experiments export > "$tmp/exp_b"
+cmp "$tmp/exp_a" "$tmp/exp_b"
+cmp "$tmp/exp_a" experiments.json
+"$cli" experiments verify --regen-smoke > /dev/null
 
 # Documentation gate, where odoc is installed (the CI image may not ship
 # it): the API docs must build without warnings-as-errors regressions.
