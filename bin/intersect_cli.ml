@@ -300,11 +300,11 @@ let sized_overlap s base =
   match (s.overlap, s.k) with Some o, _ -> o | None, Some k -> k / 2 | None, None -> base
 
 (* The command that regenerates a report: every knob its configuration
-   takes from a flag, spelled as the subcommand accepts it. *)
+   takes from a flag, with the value rendered as the subcommand parses it. *)
 let reproduce sub ~smoke flags =
   String.concat " "
     (("dune exec bin/intersect_cli.exe --" :: sub :: (if smoke then [ "--smoke" ] else []))
-    @ List.map (fun (flag, v) -> Printf.sprintf "%s %d" flag v) flags)
+    @ List.map (fun (flag, v) -> flag ^ " " ^ v) flags)
 
 let write_lines path lines =
   Out_channel.with_open_text path (fun oc ->
@@ -546,31 +546,27 @@ let profile_cmd =
             print_newline ();
             print_endline "metrics:";
             print_endline (Stats.Json.to_string_pretty (Obsv.Metrics.to_json registry));
-            (match Obsv.Metrics.histograms_list registry with
+            (match Obsv.Metrics.sketches_list registry with
             | [] -> ()
-            | hists ->
+            | sketches ->
                 print_newline ();
                 let qtable =
-                  Stats.Table.create ~title:"histogram quantiles (log2-bucket upper bounds)"
-                    ~columns:[ "histogram"; "count"; "p50"; "p90"; "p99"; "max" ]
+                  Stats.Table.create ~title:"sketch quantiles (bucket upper bounds)"
+                    ~columns:[ "sketch"; "count"; "p50"; "p90"; "p99"; "max" ]
                 in
                 List.iter
-                  (fun (hname, h) ->
-                    let q pm =
-                      match Obsv.Metrics.histogram_quantile h ~per_mille:pm with
-                      | Some v -> string_of_int v
-                      | None -> "-"
-                    in
+                  (fun (sname, sk) ->
+                    let module S = Obsv.Sketch in
                     Stats.Table.add_row qtable
                       [
-                        hname;
-                        string_of_int h.Obsv.Metrics.count;
-                        q 500;
-                        q 900;
-                        q 990;
-                        string_of_int h.Obsv.Metrics.max_v;
+                        sname;
+                        string_of_int (S.count sk);
+                        string_of_int (S.p50 sk);
+                        string_of_int (S.p90 sk);
+                        string_of_int (S.p99 sk);
+                        (match S.max_value sk with Some v -> string_of_int v | None -> "-");
                       ])
-                  hists;
+                  sketches;
                 Stats.Table.print qtable);
             print_newline ();
             Printf.printf "phase bits %d %s Cost.total_bits %d\n" phase_bits
@@ -613,13 +609,13 @@ let soak_cmd =
     let reproduce =
       reproduce "soak" ~smoke:sizing.smoke
         [
-          ("--seed", config.S.seed);
-          ("--trials", config.S.trials);
-          ("-k", config.S.k);
-          ("--universe-bits", config.S.universe_bits);
-          ("--overlap", config.S.overlap);
-          ("--attempts", config.S.budget_attempts);
-          ("--check-bits", config.S.check_bits);
+          ("--seed", string_of_int config.S.seed);
+          ("--trials", string_of_int config.S.trials);
+          ("-k", string_of_int config.S.k);
+          ("--universe-bits", string_of_int config.S.universe_bits);
+          ("--overlap", string_of_int config.S.overlap);
+          ("--attempts", string_of_int config.S.budget_attempts);
+          ("--check-bits", string_of_int config.S.check_bits);
         ]
     in
     let telemetry = telemetry_sink telemetry in
@@ -680,14 +676,14 @@ let chaos_cmd =
     let reproduce =
       reproduce "chaos" ~smoke:sizing.smoke
         [
-          ("--seed", config.C.seed);
-          ("--trials", config.C.trials);
-          ("-k", config.C.k);
-          ("--universe-bits", config.C.universe_bits);
-          ("--overlap", config.C.overlap);
-          ("--deadline", config.C.deadline_bits);
-          ("--rung-attempts", config.C.rung_attempts);
-          ("--check-bits", config.C.check_bits0);
+          ("--seed", string_of_int config.C.seed);
+          ("--trials", string_of_int config.C.trials);
+          ("-k", string_of_int config.C.k);
+          ("--universe-bits", string_of_int config.C.universe_bits);
+          ("--overlap", string_of_int config.C.overlap);
+          ("--deadline", string_of_int config.C.deadline_bits);
+          ("--rung-attempts", string_of_int config.C.rung_attempts);
+          ("--check-bits", string_of_int config.C.check_bits0);
         ]
     in
     let telemetry = telemetry_sink telemetry in
@@ -898,10 +894,10 @@ let telemetry_cmd =
     let reproduce =
       reproduce "telemetry" ~smoke
         [
-          ("--seed", config.T.seed);
-          ("-k", config.T.k);
-          ("--universe-bits", config.T.universe_bits);
-          ("--sessions", config.T.sessions);
+          ("--seed", string_of_int config.T.seed);
+          ("-k", string_of_int config.T.k);
+          ("--universe-bits", string_of_int config.T.universe_bits);
+          ("--sessions", string_of_int config.T.sessions);
         ]
     in
     let report = T.run_overhead config in
@@ -950,11 +946,11 @@ let sweep_cmd =
     let reproduce =
       reproduce "sweep" ~smoke
         [
-          ("--seed", config.W.seed);
-          ("--trials", config.W.trials_per_cell);
-          ("--universe-bits", config.W.universe_bits);
-          ("--attempts", config.W.budget_attempts);
-          ("--check-bits", config.W.check_bits);
+          ("--seed", string_of_int config.W.seed);
+          ("--trials", string_of_int config.W.trials_per_cell);
+          ("--universe-bits", string_of_int config.W.universe_bits);
+          ("--attempts", string_of_int config.W.budget_attempts);
+          ("--check-bits", string_of_int config.W.check_bits);
         ]
     in
     let telemetry = telemetry_sink telemetry in
@@ -1102,10 +1098,16 @@ let conform_cmd =
         prerr_endline ("conform: " ^ m);
         2
     | report ->
-        if json then
-          print_endline
-            (Stats.Json.to_string_pretty
-               (F.to_json ~reproduce:"intersect_cli conform" report))
+        let reproduce =
+          reproduce "conform" ~smoke
+            [
+              ("--seed", string_of_int config.F.seed);
+              ("--trials", string_of_int config.F.trials);
+              ("-k", String.concat "," (List.map string_of_int config.F.ks));
+              ("--protocols", String.concat "," config.F.protocols);
+            ]
+        in
+        if json then print_endline (Stats.Json.to_string_pretty (F.to_json ~reproduce report))
         else print_string (F.summary report);
         if report.F.pass then 0 else 1
   in

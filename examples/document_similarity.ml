@@ -18,10 +18,32 @@ let document_b =
    from the windowsill and dreams of chasing the quick brown fox through \
    the quiet meadow behind the new barn"
 
+let fnv1a64 s =
+  let open Int64 in
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := logxor !h (of_int (Char.code c));
+      h := mul !h 0x100000001B3L)
+    s;
+  !h
+
+(* The [w]-word shingles of [text], FNV-1a-hashed into [2^universe_bits]:
+   a public embedding, so equal shingles collide on purpose. *)
+let shingles ~w ~universe_bits text =
+  if w < 1 || universe_bits < 1 || universe_bits > 60 then invalid_arg "shingles";
+  let words = String.split_on_char ' ' text |> List.filter (fun s -> s <> "") in
+  let arr = Array.of_list words in
+  let hash s = Int64.to_int (Int64.shift_right_logical (fnv1a64 s) (64 - universe_bits)) in
+  List.init
+    (max 0 (Array.length arr - w + 1))
+    (fun i -> hash (String.concat " " (List.init w (fun j -> arr.(i + j)))))
+  |> Iset.of_list
+
 let () =
   let w = 3 in
-  let s = Workload.Scenarios.shingles ~w ~universe_bits:40 document_a in
-  let t = Workload.Scenarios.shingles ~w ~universe_bits:40 document_b in
+  let s = shingles ~w ~universe_bits:40 document_a in
+  let t = shingles ~w ~universe_bits:40 document_b in
   let universe = 1 lsl 40 in
   let result = Apps.Similarity.run (Prng.Rng.of_int 2014) ~universe s t in
   Printf.printf "document A: %d distinct %d-shingles\n" (Iset.cardinal s) w;

@@ -14,17 +14,3 @@ type t = Transport.t = { send : Bitio.Bits.t -> unit; recv : unit -> Bitio.Bits.
 (** [of_endpoint ep ~peer] views the network endpoint [ep] as a transport
     to player [peer]. *)
 val of_endpoint : Network.endpoint -> peer:int -> Transport.t
-
-(** The coroutine simulator as a {!Transport.S} backend: an address is an
-    (endpoint, peer rank) pair, and connecting is free because the
-    scheduler already owns the wires. *)
-module Sim : Transport.S with type addr = Network.endpoint * int
-
-(** [loopback ()] is {!Transport.pipe}: a pair of transports plumbed back
-    to back with a same-thread queue, no cost accounting. *)
-val loopback : unit -> Transport.t * Transport.t
-
-(** {!Transport.tamper}, re-exported: message-level fault injection for
-    robustness tests. *)
-val tamper :
-  ?flip_bit:(int -> int -> int option) -> ?drop_nth:int -> Transport.t -> Transport.t

@@ -137,9 +137,9 @@ let run_with ~trace ~faults players =
     rounds := max !rounds depth;
     total_bits := !total_bits + len;
     incr messages;
-    (* [observe] self-gates on the ambient registry, so metrics work with or
+    (* [record] self-gates on the ambient registry, so metrics work with or
        without tracing. *)
-    Obsv.Metrics.observe "net/payload_bits" len;
+    Obsv.Metrics.record "net/payload_bits" len;
     let span =
       if observing then Obsv.Trace.on_message collector ~from_:st.rank ~to_ ~bits:len ~depth
       else None

@@ -4,14 +4,6 @@ let send tr payload = tr.send payload
 let recv tr = tr.recv ()
 let make ~send ~recv = { send; recv }
 
-module type S = sig
-  type addr
-  type conn
-
-  val connect : addr -> conn
-  val chan : conn -> t
-end
-
 let pipe () =
   let a_to_b = Queue.create () and b_to_a = Queue.create () in
   let take label q () =

@@ -38,7 +38,7 @@ let run rng ~failure chan ~first mine =
   let bits = tag_bits ~m ~failure in
   let fn = Strhash.create (Prng.Rng.with_label rng "basic-intersection/fn") ~bits in
   let my_tags = Bitio.Pool.payload (fun buf -> write_tags buf fn mine) in
-  Obsv.Metrics.observe "bi/tag_bits" bits;
+  Obsv.Metrics.record "bi/tag_bits" bits;
   let their_tags =
     Obsv.Trace.span Obsv.Phases.bi_tags ~attrs:[ ("bits", string_of_int bits) ] (fun () ->
         if first then begin

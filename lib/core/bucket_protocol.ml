@@ -63,7 +63,7 @@ let run_party ?sequential ?(reduce = true) role rng ~universe ~k chan mine =
     else (buckets, their_counts, !pair_count)
   in
   let buckets, their_counts, pair_count = choose_buckets 0 in
-  Array.iter (fun bucket -> Obsv.Metrics.observe "bucket/occupancy" (Array.length bucket)) buckets;
+  Array.iter (fun bucket -> Obsv.Metrics.record "bucket/occupancy" (Array.length bucket)) buckets;
   (* Build the common instance table: for bucket i, the cross product of
      Alice's and Bob's elements in rank order.  Each party's input to an
      instance is its own element's fixed-width image encoding.  The pair

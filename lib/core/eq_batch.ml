@@ -173,7 +173,7 @@ let run ?(sequential = true) ?(max_iterations = default_max_iterations) role rng
         let iteration = !it in
         let bits = min 32 (2 lsl iteration) in
         Obsv.Metrics.incr "eq/tag_rounds";
-        Obsv.Metrics.observe "eq/tag_bits" bits;
+        Obsv.Metrics.record "eq/tag_bits" bits;
         let n = flatten () in
         (* Positions come in group order, so the label prefix is folded
            when the group changes and reused for the rest of the group. *)

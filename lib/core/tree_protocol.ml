@@ -76,7 +76,7 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
     (* Stage messages 1-2: batched equality tests at level L_stage.  Bob
        replies with the failed-node bitmap plus his bucket sizes under the
        failed nodes (needed to parameterize the re-runs). *)
-    Obsv.Metrics.observe "tree/eq_bits" eq_bits;
+    Obsv.Metrics.record "tree/eq_bits" eq_bits;
     let failed_leaves, their_sizes =
       Obsv.Trace.span Obsv.Phases.tree_eq
         ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]

@@ -1,5 +1,5 @@
-(** Primality testing and prime search for the hash-function constructions
-    (Fact 2.2 and the FKS universe reduction). *)
+(** Primality testing and prime search for the Carter–Wegman family of
+    Fact 2.2. *)
 
 (** Deterministic Miller–Rabin, exact for all [0 <= n < 2^62]. *)
 val is_prime : int -> bool

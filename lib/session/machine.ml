@@ -329,7 +329,7 @@ let run_attempt st rung ~s ~t =
       Obsv.Trace.span Obsv.Phases.session_backoff
         ~attrs:[ ("attempt", string_of_int i); ("ticks", string_of_int ticks) ]
         (fun () -> ());
-      Obsv.Metrics.observe "session/backoff_ticks" ticks;
+      Obsv.Metrics.record "session/backoff_ticks" ticks;
       if Obsv.Recorder.active () then
         Obsv.Recorder.event ~kind:"backoff"
           ~attrs:[ ("attempt", string_of_int i) ]

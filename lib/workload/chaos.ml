@@ -312,18 +312,9 @@ let run ?domains ?sink (config : config) =
   in
   { config; cells }
 
-let json_of_link (l : Commsim.Faults.link) =
-  Stats.Json.Obj
-    [
-      ("flip", Stats.Json.Float l.Commsim.Faults.flip);
-      ("trunc", Stats.Json.Float l.Commsim.Faults.trunc);
-      ("dup", Stats.Json.Float l.Commsim.Faults.dup);
-      ("drop", Stats.Json.Float l.Commsim.Faults.drop);
-    ]
-
 let json_of_campaign (c : campaign) =
   Stats.Json.Obj
-    ([ ("link", json_of_link c.link); ("interrupt", Stats.Json.Bool c.interrupt) ]
+    ([ ("link", Soak.json_of_link c.link); ("interrupt", Stats.Json.Bool c.interrupt) ]
     @
     match c.deadline_override with
     | None -> []

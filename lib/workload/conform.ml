@@ -202,15 +202,22 @@ let run_cell ?domains ~cache (config : config) entry ~k =
   in
   let universe = 1 lsl config.universe_bits in
   let acc =
-    Engine.Pool.run ?domains ~trials:config.trials
-      (fun i -> entry.trial ~cache (Engine.Seed_stream.trial_rng stream (i + 1)) ~universe ~k)
-      ~init:{ failures = 0; rounds_max = 0; bits_acc = Stats.Summary.Acc.empty }
-      ~merge:(fun a o ->
+    Engine.Pool.fold ?domains ~trials:config.trials
+      ~init:(fun () -> { failures = 0; rounds_max = 0; bits_acc = Stats.Summary.Acc.empty })
+      ~step:(fun a i ->
+        let o = entry.trial ~cache (Engine.Seed_stream.trial_rng stream (i + 1)) ~universe ~k in
         {
           failures = (a.failures + if o.t_exact then 0 else 1);
           rounds_max = max a.rounds_max o.t_rounds;
           bits_acc = Stats.Summary.Acc.add_int a.bits_acc o.t_bits;
         })
+      ~merge:(fun a b ->
+        {
+          failures = a.failures + b.failures;
+          rounds_max = max a.rounds_max b.rounds_max;
+          bits_acc = Stats.Summary.Acc.merge a.bits_acc b.bits_acc;
+        })
+      ()
   in
   let bits = Stats.Summary.Acc.summarize acc.bits_acc in
   let error_limit = entry.error_limit k in

@@ -81,11 +81,11 @@ type cell = {
 
 type report = { config : config; cells : cell list }
 
-let base_of_name config name =
+let base_of_name ~k name =
   match name with
   | "trivial" -> Resilient.trivial_base
-  | "tree" -> Resilient.tree_base ~k:config.k ()
-  | "bucket" -> Resilient.bucket_base ~k:config.k ()
+  | "tree" -> Resilient.tree_base ~k ()
+  | "bucket" -> Resilient.bucket_base ~k ()
   | _ ->
       invalid_arg
         ("Soak: unknown protocol " ^ name ^ " (known: " ^ String.concat ", " protocol_names ^ ")")
@@ -98,28 +98,32 @@ let cell_stream (config : config) ~proto_name ~plan_name =
     ~label:(Printf.sprintf "soak/%s/%s" proto_name plan_name)
 
 (* One seeded trial: inputs, per-trial fault plan and the wrapper run are
-   all derived from the stream (config seed + cell coordinates) and the
-   trial index alone, so trials can run on any domain in any order. *)
-let trial (config : config) base ~stream ~link i =
-  let rng = Engine.Seed_stream.trial_rng stream i in
-  let universe = 1 lsl config.universe_bits in
+   all derived from [rng] alone, so trials can run on any domain in any
+   order. *)
+let trial ~universe ~k ~overlap ~attempts ~check_bits base ~link rng =
   let pair =
     Setgen.pair_with_overlap
       (Prng.Rng.with_label rng "inputs")
-      ~universe ~size_s:config.k ~size_t:config.k ~overlap:config.overlap
+      ~universe ~size_s:k ~size_t:k ~overlap
   in
   let plan =
     Commsim.Faults.uniform ~seed:(Prng.Rng.bits (Prng.Rng.with_label rng "plan") ~width:30) link
   in
   let report =
     Resilient.run base ~plan
-      ~budget:{ Resilient.attempts = config.budget_attempts; bits = max_int }
-      ~check_bits:config.check_bits
+      ~budget:{ Resilient.attempts; bits = max_int }
+      ~check_bits
       (Prng.Rng.with_label rng "protocol")
       ~universe pair.Setgen.s pair.Setgen.t
   in
   let truth = Iset.inter pair.Setgen.s pair.Setgen.t in
   (report, Iset.equal report.Resilient.result truth)
+
+(* Trial [i] of a cell's seed stream under the config's sizes and budget. *)
+let cell_trial (config : config) base ~stream ~link i =
+  trial ~universe:(1 lsl config.universe_bits) ~k:config.k ~overlap:config.overlap
+    ~attempts:config.budget_attempts ~check_bits:config.check_bits base ~link
+    (Engine.Seed_stream.trial_rng stream i)
 
 let mean_bits_of reports =
   let total =
@@ -134,7 +138,7 @@ let baseline ?domains (config : config) base ~proto_name =
   let stream = cell_stream config ~proto_name ~plan_name:"baseline" in
   let reports =
     Engine.Pool.map ?domains ~trials:n (fun i ->
-        fst (trial config base ~stream ~link:Commsim.Faults.clean_link (i + 1)))
+        fst (cell_trial config base ~stream ~link:Commsim.Faults.clean_link (i + 1)))
   in
   mean_bits_of (Array.to_list reports)
 
@@ -143,7 +147,7 @@ let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link 
   let outcomes =
     Array.to_list
       (Engine.Pool.map ?domains ~trials:config.trials (fun i ->
-           trial config base ~stream ~link (i + 1)))
+           cell_trial config base ~stream ~link (i + 1)))
   in
   let reports = List.map fst outcomes in
   let exact = List.length (List.filter snd outcomes) in
@@ -153,9 +157,13 @@ let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link 
   (match sink with
   | None -> ()
   | Some sink ->
-      Telemetry.record_soak_cell sink ~trials:config.trials ~exact
+      let sketch = Obsv.Sketch.create () in
+      List.iter
+        (fun r -> Obsv.Sketch.observe sketch r.Resilient.cost.Commsim.Cost.total_bits)
+        reports;
+      Telemetry.record_cell sink ~prefix:"soak" ~trials:config.trials ~exact
         ~degraded:(List.length (List.filter (fun r -> r.Resilient.degraded) reports))
-        ~bits:(List.map (fun r -> r.Resilient.cost.Commsim.Cost.total_bits) reports));
+        ~sketch);
   let count f = List.length (List.filter f reports) in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let failure_sums =
@@ -219,7 +227,7 @@ let run ?domains ?sink (config : config) =
   let cells =
     List.concat_map
       (fun proto_name ->
-        let base = base_of_name config proto_name in
+        let base = base_of_name ~k:config.k proto_name in
         let baseline_bits = baseline ?domains config base ~proto_name in
         List.map
           (fun (plan_name, link) ->

@@ -38,6 +38,32 @@ val default : config
     plans. *)
 val smoke : config
 
+(** [base_of_name ~k name] is the {!Intersect.Resilient} base named by one
+    of {!protocol_names}, sized for [k]-element inputs; raises
+    [Invalid_argument] on any other name. *)
+val base_of_name : k:int -> string -> Intersect.Resilient.base
+
+(** [trial ~universe ~k ~overlap ~attempts ~check_bits base ~link rng] is
+    one seeded soak trial: a [k]-element input pair with [overlap] planted
+    common elements (drawn from [rng]'s ["inputs"] label), a uniform fault
+    plan over [link] (seeded from ["plan"]), and the wrapper run with an
+    [attempts]-attempt budget (randomness from ["protocol"]).  Returns the
+    wrapper's report and whether its result equals [S ∩ T]. *)
+val trial :
+  universe:int ->
+  k:int ->
+  overlap:int ->
+  attempts:int ->
+  check_bits:int ->
+  Intersect.Resilient.base ->
+  link:Commsim.Faults.link ->
+  Prng.Rng.t ->
+  Intersect.Resilient.report * bool
+
+(** The JSON object of a link's per-message fault rates
+    ([{flip; trunc; dup; drop}]). *)
+val json_of_link : Commsim.Faults.link -> Stats.Json.t
+
 (** Aggregates of one (protocol × plan) cell. *)
 type cell = {
   protocol : string;

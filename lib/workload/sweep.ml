@@ -8,8 +8,8 @@ open Intersect
      promise-range instances) at mega-trial scale, gating the observed
      failure count against the paper's 1/poly(k) bound via the one-sided
      95% Wilson lower bound;
-   - {e faulted} cells reuse the {!Soak} semantics (Resilient wrapper
-     over an adversarial link) with the soak's rare-event gate
+   - {e faulted} cells run {!Soak.trial} (Resilient wrapper over an
+     adversarial link) with the soak's rare-event gate
      [failures = 0 || rate <= attempts * 2^-check_bits].
 
    Affordability is the engine work from this PR: trials stream through
@@ -196,45 +196,21 @@ let clean_cell ?domains (config : config) (entry : Conform.entry) ~k =
 
 (* ---------- faulted cells: Soak semantics at mega scale ---------- *)
 
-let base_of_name name ~k =
-  match name with
-  | "trivial" -> Resilient.trivial_base
-  | "tree" -> Resilient.tree_base ~k ()
-  | "bucket" -> Resilient.bucket_base ~k ()
-  | _ ->
-      invalid_arg
-        ("Sweep: unknown fault protocol " ^ name ^ " (known: "
-        ^ String.concat ", " Soak.protocol_names
-        ^ ")")
-
 let fault_cell_acc ?domains (config : config) ~bases ~proto_name ~k ~plan_name ~link =
   let stream =
     Engine.Seed_stream.create ~base:config.seed
       ~label:(Printf.sprintf "sweep/%s/k%d/%s" proto_name k plan_name)
   in
   let universe = 1 lsl config.universe_bits in
-  let overlap = k / 2 in
   let key = proto_name ^ "/k" ^ string_of_int k in
   let step acc i =
-    let rng = Engine.Seed_stream.trial_rng stream (i + 1) in
-    let base = Engine.Instance_cache.find bases ~key (fun () -> base_of_name proto_name ~k) in
-    let pair =
-      Setgen.pair_with_overlap
-        (Prng.Rng.with_label rng "inputs")
-        ~universe ~size_s:k ~size_t:k ~overlap
+    let base = Engine.Instance_cache.find bases ~key (fun () -> Soak.base_of_name ~k proto_name) in
+    let report, exact =
+      Soak.trial ~universe ~k ~overlap:(k / 2) ~attempts:config.budget_attempts
+        ~check_bits:config.check_bits base ~link
+        (Engine.Seed_stream.trial_rng stream (i + 1))
     in
-    let plan =
-      Commsim.Faults.uniform ~seed:(Prng.Rng.bits (Prng.Rng.with_label rng "plan") ~width:30) link
-    in
-    let report =
-      Resilient.run base ~plan
-        ~budget:{ Resilient.attempts = config.budget_attempts; bits = max_int }
-        ~check_bits:config.check_bits
-        (Prng.Rng.with_label rng "protocol")
-        ~universe pair.Setgen.s pair.Setgen.t
-    in
-    let truth = Iset.inter pair.Setgen.s pair.Setgen.t in
-    if not (Iset.equal report.Resilient.result truth) then acc.failures <- acc.failures + 1;
+    if not exact then acc.failures <- acc.failures + 1;
     if report.Resilient.degraded then acc.degraded <- acc.degraded + 1;
     let rounds = report.Resilient.cost.Commsim.Cost.rounds in
     if rounds > acc.rounds_max then acc.rounds_max <- rounds;
@@ -292,7 +268,7 @@ let run ?domains ?sink (config : config) =
     (match sink with
     | None -> ()
     | Some sink ->
-        Telemetry.record_sweep_cell sink ~trials:cell.trials
+        Telemetry.record_cell sink ~prefix:"sweep" ~trials:cell.trials
           ~exact:(cell.trials - cell.failures) ~degraded:cell.degraded ~sketch);
     cell
   in
@@ -389,17 +365,7 @@ let to_json ?reproduce (report : report) =
                  ("fault_ks", Stats.Json.List (List.map (fun k -> Stats.Json.Int k) c.fault_ks));
                  ( "plans",
                    Stats.Json.Obj
-                     (List.map
-                        (fun (name, (l : Commsim.Faults.link)) ->
-                          ( name,
-                            Stats.Json.Obj
-                              [
-                                ("flip", Stats.Json.Float l.Commsim.Faults.flip);
-                                ("trunc", Stats.Json.Float l.Commsim.Faults.trunc);
-                                ("dup", Stats.Json.Float l.Commsim.Faults.dup);
-                                ("drop", Stats.Json.Float l.Commsim.Faults.drop);
-                              ] ))
-                        c.plans) );
+                     (List.map (fun (name, link) -> (name, Soak.json_of_link link)) c.plans) );
                  ("budget_attempts", Stats.Json.Int c.budget_attempts);
                  ("check_bits", Stats.Json.Int c.check_bits);
                ] );

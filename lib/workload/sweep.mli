@@ -88,7 +88,7 @@ val clean_cell : ?domains:int -> config -> Conform.entry -> k:int -> cell
 
 (** [run ?domains ?sink config] runs the whole matrix.  With a [sink],
     each finished cell is recorded via
-    {!Telemetry.record_sweep_cell} — sequentially, in matrix order, so
+    {!Telemetry.record_cell} (prefix ["sweep"]) — sequentially, in matrix order, so
     the telemetry stream is also domain-count independent. *)
 val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 

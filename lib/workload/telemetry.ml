@@ -85,28 +85,16 @@ let jsonl sink =
   in
   merge (postmortems sink) (snapshots sink) None []
 
-(* Cell-level recording for the Resilient soak harness (which has trials,
-   not sessions): bump the soak counters, sketch the per-trial bit costs
-   in trial order, advance event time by the cell's trials and close the
-   cell with a snapshot. *)
-let record_soak_cell sink ~trials ~exact ~degraded ~bits =
+(* Cell-level recording for the trial harnesses (Soak, Sweep), which
+   have trials, not sessions: bump the [prefix/*] counters, fold the
+   cell's bit-cost sketch into [prefix/bits], advance event time by the
+   cell's trials and close the cell with a snapshot. *)
+let record_cell sink ~prefix ~trials ~exact ~degraded ~sketch =
   Obsv.Metrics.with_registry sink.registry (fun () ->
-      Obsv.Metrics.incr ~by:trials "soak/trials";
-      if exact > 0 then Obsv.Metrics.incr ~by:exact "soak/exact";
-      if degraded > 0 then Obsv.Metrics.incr ~by:degraded "soak/degraded";
-      List.iter (fun b -> Obsv.Metrics.record "soak/bits" b) bits);
-  sink.sessions <- sink.sessions + trials;
-  ignore (snapshot sink)
-
-(* Cell-level recording for the Sweep mega-runner: same shape as the soak
-   hook, but the per-trial bit costs arrive pre-accumulated in a mergeable
-   sketch (a 10^6-trial cell never materialises a bits list). *)
-let record_sweep_cell sink ~trials ~exact ~degraded ~sketch =
-  Obsv.Metrics.with_registry sink.registry (fun () ->
-      Obsv.Metrics.incr ~by:trials "sweep/trials";
-      if exact > 0 then Obsv.Metrics.incr ~by:exact "sweep/exact";
-      if degraded > 0 then Obsv.Metrics.incr ~by:degraded "sweep/degraded";
-      Obsv.Metrics.merge_sketch "sweep/bits" sketch);
+      Obsv.Metrics.incr ~by:trials (prefix ^ "/trials");
+      if exact > 0 then Obsv.Metrics.incr ~by:exact (prefix ^ "/exact");
+      if degraded > 0 then Obsv.Metrics.incr ~by:degraded (prefix ^ "/degraded");
+      Obsv.Metrics.merge_sketch (prefix ^ "/bits") sketch);
   sink.sessions <- sink.sessions + trials;
   ignore (snapshot sink)
 

@@ -43,19 +43,14 @@ val postmortems : sink -> (int * Stats.Json.t) list
     axis. *)
 val jsonl : sink -> string list
 
-(** Cell-level recording for the {!Soak} harness (trials, not sessions):
-    bumps [soak/*] counters, sketches the per-trial bit costs in trial
-    order, advances event time by [trials] and closes the cell with a
+(** Cell-level recording for the trial harnesses ({!Soak} uses prefix
+    ["soak"], {!Sweep} ["sweep"]): bumps the [prefix/trials],
+    [prefix/exact] and [prefix/degraded] counters, folds the cell's
+    bit-cost sketch into [prefix/bits] ({!Obsv.Metrics.merge_sketch}),
+    advances event time by [trials] and closes the cell with a
     snapshot. *)
-val record_soak_cell : sink -> trials:int -> exact:int -> degraded:int -> bits:int list -> unit
-
-(** Cell-level recording for the {!Sweep} mega-runner: bumps [sweep/*]
-    counters, folds the cell's pre-accumulated bit-cost sketch into
-    [sweep/bits] ({!Obsv.Metrics.merge_sketch}), advances event time by
-    [trials] and closes the cell with a snapshot.  Sketch-based because a
-    [10^6]-trial cell never materialises a per-trial bits list. *)
-val record_sweep_cell :
-  sink -> trials:int -> exact:int -> degraded:int -> sketch:Obsv.Sketch.t -> unit
+val record_cell :
+  sink -> prefix:string -> trials:int -> exact:int -> degraded:int -> sketch:Obsv.Sketch.t -> unit
 
 (** {!Obsv.Health.evaluate} over the latest snapshot ([None] before the
     first snapshot). *)

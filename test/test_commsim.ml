@@ -207,10 +207,10 @@ let test_cost_aggregates () =
   check "max player bits" 16 (Cost.max_player_bits cost);
   Alcotest.(check (float 0.001)) "avg player bits" 8.0 (Cost.avg_player_bits cost)
 
-(* ---------- Chan.loopback ---------- *)
+(* ---------- Transport.pipe ---------- *)
 
 let test_loopback () =
-  let a, b = Chan.loopback () in
+  let a, b = Transport.pipe () in
   a.Chan.send (bits_of_int ~width:8 77);
   check "b receives" 77 (int_of_bits ~width:8 (b.Chan.recv ()));
   b.Chan.send (bits_of_int ~width:8 78);

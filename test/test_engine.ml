@@ -31,8 +31,13 @@ let test_pool_propagates_exceptions () =
         (fun () -> ignore (Engine.Pool.map ~domains ~trials:50 f)))
     [ 1; 4 ]
 
-let test_pool_run_folds_in_order () =
-  let concat = Engine.Pool.run ~domains:4 ~trials:20 string_of_int ~init:"" ~merge:( ^ ) in
+let test_pool_fold_merges_in_order () =
+  let concat =
+    Engine.Pool.fold ~domains:4 ~trials:20
+      ~init:(fun () -> "")
+      ~step:(fun acc i -> acc ^ string_of_int i)
+      ~merge:( ^ ) ()
+  in
   Alcotest.(check string)
     "fold order" (String.concat "" (List.init 20 string_of_int)) concat
 
@@ -40,7 +45,15 @@ let test_pool_rejects_bad_args () =
   Alcotest.check_raises "domains=0" (Invalid_argument "Engine.Pool.map: domains < 1") (fun () ->
       ignore (Engine.Pool.map ~domains:0 ~trials:1 Fun.id));
   Alcotest.check_raises "trials<0" (Invalid_argument "Engine.Pool.map: trials < 0") (fun () ->
-      ignore (Engine.Pool.map ~domains:1 ~trials:(-1) Fun.id))
+      ignore (Engine.Pool.map ~domains:1 ~trials:(-1) Fun.id));
+  let fold ~domains ~trials =
+    ignore
+      (Engine.Pool.fold ~domains ~trials ~init:(fun () -> 0) ~step:( + ) ~merge:( + ) ())
+  in
+  Alcotest.check_raises "fold domains=0" (Invalid_argument "Engine.Pool.fold: domains < 1")
+    (fun () -> fold ~domains:0 ~trials:1);
+  Alcotest.check_raises "fold trials<0" (Invalid_argument "Engine.Pool.fold: trials < 0")
+    (fun () -> fold ~domains:1 ~trials:(-1))
 
 (* Pool.fold with an exact-arithmetic accumulator must agree with the
    sequential fold at every domain count — chunk geometry varies with
@@ -234,7 +247,7 @@ let test_merge_metrics () =
     Obsv.Metrics.with_registry r (fun () ->
         Obsv.Metrics.incr ~by:counter "trials";
         Obsv.Metrics.set_gauge "depth" gauge;
-        Obsv.Metrics.observe "payload" counter);
+        Obsv.Metrics.record "payload" counter);
     r
   in
   let r1 = mk 3 10 and r2 = mk 4 2 in
@@ -246,16 +259,18 @@ let test_merge_metrics () =
     (Stats.Json.to_string (Obsv.Metrics.to_json merged'));
   check "counters add" 7 (Obsv.Metrics.counter_value merged "trials");
   Alcotest.(check (option int)) "gauges max" (Some 10) (Obsv.Metrics.gauge_value merged "depth");
-  match Obsv.Metrics.histogram_of merged "payload" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some h ->
-      check "histogram count" 2 h.Obsv.Metrics.count;
-      check "histogram sum" 7 h.Obsv.Metrics.sum
+  match Obsv.Metrics.sketch_of merged "payload" with
+  | None -> Alcotest.fail "sketch missing"
+  | Some s ->
+      check "sketch count" 2 (Obsv.Sketch.count s);
+      check "sketch sum" 7 (Obsv.Sketch.sum s);
+      Alcotest.(check (option int)) "sketch min" (Some 3) (Obsv.Sketch.min_value s);
+      Alcotest.(check (option int)) "sketch max" (Some 4) (Obsv.Sketch.max_value s)
 
 let test_merge_summaries_index_order () =
   let acc_of l = List.fold_left Stats.Summary.Acc.add Stats.Summary.Acc.empty l in
   let left = acc_of [ 1.0; 2.0 ] and right = acc_of [ 3.0; 4.0 ] in
-  let merged = Engine.Merge.summaries [ left; right ] in
+  let merged = Stats.Summary.Acc.merge left right in
   let direct = acc_of [ 1.0; 2.0; 3.0; 4.0 ] in
   Alcotest.(check (float 1e-9))
     "mean" (Stats.Summary.Acc.summarize direct).Stats.Summary.mean
@@ -336,7 +351,7 @@ let () =
         [
           Alcotest.test_case "matches sequential" `Quick test_pool_matches_sequential;
           Alcotest.test_case "propagates exceptions" `Quick test_pool_propagates_exceptions;
-          Alcotest.test_case "run folds in order" `Quick test_pool_run_folds_in_order;
+          Alcotest.test_case "run folds in order" `Quick test_pool_fold_merges_in_order;
           Alcotest.test_case "rejects bad args" `Quick test_pool_rejects_bad_args;
           Alcotest.test_case "fold matches sequential" `Quick test_pool_fold_matches_sequential;
           Alcotest.test_case "fold sketch deterministic" `Quick test_pool_fold_sketch_deterministic;

@@ -358,32 +358,6 @@ let test_incremental_validation () =
            ~alice_update:{ Apps.Incremental.inserts = [| 1 |]; deletes = [||] }
            ~bob_update:{ Apps.Incremental.inserts = [||]; deletes = [||] }))
 
-(* ---------- Poly family ---------- *)
-
-let test_poly_family_range_and_collisions () =
-  let rng = Prng.Rng.of_int 61 in
-  List.iter
-    (fun independence ->
-      let h = Hashing.Poly_family.create rng ~universe:1_000_000 ~range:512 ~independence in
-      Alcotest.(check int) "independence" independence (Hashing.Poly_family.independence h);
-      for x = 0 to 2000 do
-        let v = Hashing.Poly_family.hash h x in
-        if v < 0 || v >= 512 then Alcotest.failf "out of range %d" v
-      done)
-    [ 1; 2; 4; 6 ]
-
-let test_poly_family_collision_rate () =
-  let rng = Prng.Rng.of_int 62 in
-  let failures = ref 0 in
-  let trials = 1000 in
-  for _ = 1 to trials do
-    let h = Hashing.Poly_family.create rng ~universe:1_000_000 ~range:1000 ~independence:4 in
-    let s = Array.init 10 (fun i -> (i * 99_991) + 7) in
-    if Hashing.Hash_family.has_collision ~hash:(Hashing.Poly_family.hash h) s then incr failures
-  done;
-  (* expected ~ binom(10,2)/1000 = 4.5% *)
-  if !failures > trials / 10 then Alcotest.failf "collisions %d/%d" !failures trials
-
 (* ---------- Tamper ---------- *)
 
 let test_tamper_equality_catches_corruption () =
@@ -396,7 +370,9 @@ let test_tamper_equality_catches_corruption () =
       Commsim.Two_party.run
         ~alice:(fun chan ->
           let chan =
-            Commsim.Chan.tamper ~flip_bit:(fun index _ -> if index = 0 then Some bit else None) chan
+            Commsim.Transport.tamper
+              ~flip_bit:(fun index _ -> if index = 0 then Some bit else None)
+              chan
           in
           Equality.run_alice shared ~bits:20 chan payload)
         ~bob:(fun chan -> Equality.run_bob shared ~bits:20 chan payload)
@@ -410,7 +386,7 @@ let test_tamper_drop_deadlocks () =
   let attempt () =
     Commsim.Two_party.run
       ~alice:(fun chan ->
-        let chan = Commsim.Chan.tamper ~drop_nth:0 chan in
+        let chan = Commsim.Transport.tamper ~drop_nth:0 chan in
         chan.Commsim.Chan.send (Bitio.Bits.of_bools [ true ]);
         chan.Commsim.Chan.recv ())
       ~bob:(fun chan ->
@@ -421,37 +397,6 @@ let test_tamper_drop_deadlocks () =
   match attempt () with
   | exception Commsim.Network.Deadlock _ -> ()
   | _ -> Alcotest.fail "expected deadlock"
-
-(* ---------- Scenarios ---------- *)
-
-let test_scenarios_shingles () =
-  let a = Workload.Scenarios.shingles ~w:2 ~universe_bits:30 "the cat sat on the mat" in
-  let b = Workload.Scenarios.shingles ~w:2 ~universe_bits:30 "the cat sat on the hat" in
-  (* 5 shingles each; "the cat", "cat sat", "sat on", "on the" shared *)
-  check "a size" 5 (Iset.cardinal a);
-  check "shared" 4 (Iset.cardinal (Iset.inter a b));
-  (* deterministic public embedding: same text, same set *)
-  Alcotest.check iset "deterministic" a
-    (Workload.Scenarios.shingles ~w:2 ~universe_bits:30 "the cat sat on the mat")
-
-let test_scenarios_correlated_streams () =
-  let left, right =
-    Workload.Scenarios.correlated_streams (Prng.Rng.of_int 91) ~length:200 ~alphabet:50 ~lag:3
-  in
-  check "left length" 200 (Array.length left);
-  check "right length" 200 (Array.length right);
-  (* lagged copies: left.(i) = right.(i + lag) *)
-  for i = 0 to 196 do
-    check "lagged" right.(i + 3) left.(i)
-  done
-
-let test_scenarios_keyed_table () =
-  let table =
-    Workload.Scenarios.keyed_table (Prng.Rng.of_int 92) ~universe:10000 ~rows:100
-      ~payload:(fun key -> "p" ^ string_of_int key)
-  in
-  check "rows" 100 (Array.length table);
-  Array.iter (fun (key, payload) -> Alcotest.(check string) "payload" ("p" ^ string_of_int key) payload) table
 
 (* ---------- Sketch error scaling ---------- *)
 
@@ -546,12 +491,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_sketch_roundtrip;
           Alcotest.test_case "error shrinks with size" `Quick test_sketch_error_shrinks_with_size;
         ] );
-      ( "scenarios",
-        [
-          Alcotest.test_case "shingles" `Quick test_scenarios_shingles;
-          Alcotest.test_case "correlated streams" `Quick test_scenarios_correlated_streams;
-          Alcotest.test_case "keyed table" `Quick test_scenarios_keyed_table;
-        ] );
       ( "incremental",
         [
           Alcotest.test_case "start" `Quick test_incremental_start;
@@ -559,11 +498,6 @@ let () =
           Alcotest.test_case "insert shared element" `Quick test_incremental_insert_shared_element;
           Alcotest.test_case "cost scales with delta" `Quick test_incremental_cost_scales_with_delta;
           Alcotest.test_case "validation" `Quick test_incremental_validation;
-        ] );
-      ( "poly_family",
-        [
-          Alcotest.test_case "range and independence" `Quick test_poly_family_range_and_collisions;
-          Alcotest.test_case "collision rate" `Quick test_poly_family_collision_rate;
         ] );
       ( "tamper",
         [

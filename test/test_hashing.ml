@@ -1,5 +1,5 @@
-(* Tests for modular arithmetic, primality, and the hash families of
-   Fact 2.2 / the FKS reduction. *)
+(* Tests for modular arithmetic, primality, and the Carter–Wegman family of
+   Fact 2.2. *)
 
 open Hashing
 
@@ -88,9 +88,18 @@ let test_random_prime () =
     if p >= 10_000 then Alcotest.failf "too large: %d" p
   done
 
-(* ---------- Hash families ---------- *)
+(* ---------- Carter–Wegman ---------- *)
 
-let no_collision_rate (module H : Hash_family.S) ~universe ~range ~set_size ~trials seed =
+(* Whether two distinct elements of [s] land on the same hash value. *)
+let has_collision ~hash s =
+  let seen = Hashtbl.create (Array.length s) in
+  Array.exists
+    (fun x ->
+      let h = hash x in
+      Hashtbl.mem seen h || (Hashtbl.add seen h (); false))
+    s
+
+let no_collision_rate ~universe ~range ~set_size ~trials seed =
   let rng = Prng.Rng.of_int seed in
   let failures = ref 0 in
   for _ = 1 to trials do
@@ -100,8 +109,8 @@ let no_collision_rate (module H : Hash_family.S) ~universe ~range ~set_size ~tri
       Hashtbl.replace table (Prng.Rng.int rng universe) ()
     done;
     let s = Array.of_seq (Hashtbl.to_seq_keys table) in
-    let h = H.create rng ~universe ~range in
-    if Hash_family.has_collision ~hash:(H.hash h) s then incr failures
+    let h = Carter_wegman.create rng ~universe ~range in
+    if has_collision ~hash:(Carter_wegman.hash h) s then incr failures
   done;
   float_of_int !failures /. float_of_int trials
 
@@ -117,7 +126,7 @@ let test_cw_collision_bound () =
   (* Pairwise independence: k=10 elements into range 1000 collide with
      probability <= binom(10,2)/1000 = 4.5% (plus mod-range slack). *)
   let rate =
-    no_collision_rate (module Carter_wegman) ~universe:1_000_000 ~range:1000 ~set_size:10
+    no_collision_rate ~universe:1_000_000 ~range:1000 ~set_size:10
       ~trials:2000 7
   in
   if rate > 0.09 then Alcotest.failf "collision rate too high: %f" rate
@@ -137,57 +146,10 @@ let test_cw_large_universe () =
   (* 1000 draws into 1024 buckets should touch many distinct buckets. *)
   if Hashtbl.length seen < 400 then Alcotest.failf "suspiciously few buckets: %d" (Hashtbl.length seen)
 
-let test_multiply_shift_collisions () =
-  let rate =
-    no_collision_rate (module Multiply_shift) ~universe:1_000_000 ~range:1024 ~set_size:10
-      ~trials:2000 19
-  in
-  if rate > 0.15 then Alcotest.failf "collision rate too high: %f" rate
-
-let test_tabulation_collisions () =
-  let rate =
-    no_collision_rate (module Tabulation) ~universe:1_000_000 ~range:1024 ~set_size:10 ~trials:1000 23
-  in
-  if rate > 0.15 then Alcotest.failf "collision rate too high: %f" rate
-
 let test_collision_helpers () =
   let hash x = x mod 3 in
-  check_bool "has" true (Hash_family.has_collision ~hash [| 1; 4; 2 |]);
-  check_bool "hasn't" false (Hash_family.has_collision ~hash [| 0; 1; 2 |]);
-  check "pairs" 3 (Hash_family.colliding_pairs ~hash [| 0; 3; 6 |]);
-  check "no pairs" 0 (Hash_family.colliding_pairs ~hash [| 0; 1; 2 |])
-
-(* ---------- FKS ---------- *)
-
-let test_fks_no_collisions_whp () =
-  let rng = Prng.Rng.of_int 29 in
-  let universe = 1 lsl 40 in
-  let set_size = 64 in
-  let trials = 500 in
-  let failures = ref 0 in
-  for _ = 1 to trials do
-    let s = Array.init set_size (fun i -> (i * 104_729) + Prng.Rng.int rng 1000 + (i * i)) in
-    let s = Array.of_list (List.sort_uniq compare (Array.to_list s)) in
-    let f = Fks.create rng ~universe ~set_size:(Array.length s) ~failure:0.01 in
-    if Hash_family.has_collision ~hash:(Fks.hash f) s then incr failures
-  done;
-  (* failure target is 1%; allow generous slack for the union-bound constants *)
-  if !failures > trials / 20 then Alcotest.failf "FKS failed %d/%d times" !failures trials
-
-let test_fks_modulus_size () =
-  (* The prime should be polynomially bounded: q = O~(k^2 log n / delta). *)
-  let bound = Fks.prime_bound ~universe:(1 lsl 40) ~set_size:64 ~failure:0.01 in
-  check_bool "bound positive" true (bound > 64);
-  (* k^2 log n / (2 delta) = 4096 * 40 / 0.02 = 8.19e6; ln factor ~ 17 *)
-  check_bool "bound sane" true (bound < 400_000_000);
-  let rng = Prng.Rng.of_int 31 in
-  let f = Fks.create rng ~universe:(1 lsl 40) ~set_size:64 ~failure:0.01 in
-  check_bool "modulus <= bound" true (Fks.modulus f <= bound);
-  check_bool "seed bits small" true (Fks.seed_bits f <= 64)
-
-let test_fks_rejects_bad_args () =
-  Alcotest.check_raises "bad failure" (Invalid_argument "Fks.prime_bound: failure") (fun () ->
-      ignore (Fks.prime_bound ~universe:100 ~set_size:5 ~failure:0.0))
+  check_bool "has" true (has_collision ~hash [| 1; 4; 2 |]);
+  check_bool "hasn't" false (has_collision ~hash [| 0; 1; 2 |])
 
 let () =
   Alcotest.run "hashing"
@@ -212,14 +174,6 @@ let () =
           Alcotest.test_case "cw range" `Quick test_cw_range;
           Alcotest.test_case "cw collision bound" `Quick test_cw_collision_bound;
           Alcotest.test_case "cw large universe" `Quick test_cw_large_universe;
-          Alcotest.test_case "multiply-shift collisions" `Quick test_multiply_shift_collisions;
-          Alcotest.test_case "tabulation collisions" `Quick test_tabulation_collisions;
           Alcotest.test_case "collision helpers" `Quick test_collision_helpers;
-        ] );
-      ( "fks",
-        [
-          Alcotest.test_case "no collisions whp" `Quick test_fks_no_collisions_whp;
-          Alcotest.test_case "modulus size" `Quick test_fks_modulus_size;
-          Alcotest.test_case "bad args" `Quick test_fks_rejects_bad_args;
         ] );
     ]

@@ -111,8 +111,10 @@ let test_disabled_is_ambient_default () =
   check "span still runs its body" 17 r;
   check "nothing recorded" 0 (List.length (Trace.spans Trace.disabled));
   Metrics.incr "ignored";
-  Metrics.observe "ignored" 5;
-  check "metrics drop writes when disabled" 0 (Metrics.counter_value Metrics.disabled "ignored")
+  Metrics.record "ignored" 5;
+  check "metrics drop writes when disabled" 0 (Metrics.counter_value Metrics.disabled "ignored");
+  check_bool "sketches drop writes when disabled" true
+    (Metrics.sketch_of Metrics.disabled "ignored" = None)
 
 let test_disabled_span_allocates_nothing () =
   let body () = () in
@@ -187,25 +189,31 @@ let test_metrics_readback () =
       Metrics.incr ~by:4 "c";
       Metrics.set_gauge "g" 7;
       Metrics.set_gauge "g" 9;
-      List.iter (Metrics.observe "h") [ 0; 1; 2; 3; 8; 1000 ]);
+      List.iter (Metrics.record "h") [ 0; 1; 2; 3; 8; 1000 ]);
   check "counter accumulates" 5 (Metrics.counter_value r "c");
   check "absent counter reads zero" 0 (Metrics.counter_value r "absent");
   check_bool "gauge keeps the latest value" true (Metrics.gauge_value r "g" = Some 9);
   check_bool "absent gauge is None" true (Metrics.gauge_value r "absent" = None);
-  match Metrics.histogram_of r "h" with
-  | None -> Alcotest.fail "histogram not recorded"
-  | Some h ->
-      check "count" 6 h.Metrics.count;
-      check "sum" 1014 h.Metrics.sum;
-      check "min" 0 h.Metrics.min_v;
-      check "max" 1000 h.Metrics.max_v;
-      (* Log2 buckets: 0 -> "0"; 1 -> [1,2); 2,3 -> [2,4); 8 -> [8,16);
-         1000 -> [512,1024). *)
-      check "bucket 0" 1 h.Metrics.buckets.(0);
-      check "bucket [1,2)" 1 h.Metrics.buckets.(1);
-      check "bucket [2,4)" 2 h.Metrics.buckets.(2);
-      check "bucket [8,16)" 1 h.Metrics.buckets.(4);
-      check "bucket [512,1024)" 1 h.Metrics.buckets.(10)
+  let sketch_stats r =
+    match Metrics.sketch_of r "h" with
+    | None -> Alcotest.fail "sketch not recorded"
+    | Some s -> (Sketch.count s, Sketch.sum s, Sketch.min_value s, Sketch.max_value s)
+  in
+  let count, sum, min_v, max_v = sketch_stats r in
+  check "count" 6 count;
+  check "sum" 1014 sum;
+  check_bool "min" true (min_v = Some 0);
+  check_bool "max" true (max_v = Some 1000);
+  (* Merging the registry twice into a fresh one doubles count and sum and
+     keeps the extrema. *)
+  let merged = Metrics.create () in
+  Metrics.merge_into ~into:merged r;
+  Metrics.merge_into ~into:merged r;
+  let count, sum, min_v, max_v = sketch_stats merged in
+  check "merged count" 12 count;
+  check "merged sum" 2028 sum;
+  check_bool "merged min" true (min_v = Some 0);
+  check_bool "merged max" true (max_v = Some 1000)
 
 let () =
   Alcotest.run "obsv"

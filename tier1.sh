@@ -43,13 +43,24 @@ dune exec bin/intersect_cli.exe -- trace --protocol bucket -k 64 --seed 1 \
   | "$cli" check
 dune exec bin/intersect_cli.exe -- profile --protocol bucket -k 64 --seed 1 > /dev/null
 
-# Engine smoke: the theorem-conformance tier on two worker domains (exits
-# non-zero on any envelope violation), and the engine's determinism
-# contract — the soak report must be byte-identical at 1 and 2 domains.
-dune exec bin/intersect_cli.exe -- conform --smoke --domains 2 > /dev/null
+# Engine smoke: the theorem-conformance tier (exits non-zero on any
+# envelope violation) and the engine's determinism contract — the conform
+# and soak reports, and the soak telemetry stream, must be byte-identical
+# at 1 and 2 domains — and the reproduce command the conform report
+# embeds must run verbatim and regenerate it byte for byte.
+dune exec bin/intersect_cli.exe -- conform --smoke --json --domains 1 > "$tmp/conform_d1"
+dune exec bin/intersect_cli.exe -- conform --smoke --json --domains 2 > "$tmp/conform_d2"
+cmp "$tmp/conform_d1" "$tmp/conform_d2"
+reproduce=$(sed -n 's/^  "reproduce": "\(.*\)",$/\1/p' "$tmp/conform_d1")
+test -n "$reproduce"
+$reproduce --json > "$tmp/conform_b"
+cmp "$tmp/conform_d1" "$tmp/conform_b"
 dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 1 > "$tmp/soak_d1"
 dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --json --domains 2 > "$tmp/soak_d2"
 cmp "$tmp/soak_d1" "$tmp/soak_d2"
+dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --telemetry "$tmp/soak_tel_d1" --domains 1 > /dev/null
+dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --telemetry "$tmp/soak_tel_d2" --domains 2 > /dev/null
+cmp "$tmp/soak_tel_d1" "$tmp/soak_tel_d2"
 
 # Chaos campaign smoke: the committed BENCH_chaos.json must be
 # schema-valid (outcome taxonomy partitions the trials, zero wrong
@@ -82,12 +93,16 @@ cmp "$tmp/det_a" "$tmp/det_b"
 # (Wilson bounds ordered, per-cell gate conjunction, trial counts summing
 # to total_trials), a seconds-scale smoke matrix must pass its envelopes
 # live (sweep exits non-zero on any violating cell), the report must
-# be byte-identical at 1 and 2 worker domains, and the bucket k=1024 hot
-# path must not allocate more per trial than the committed seed baseline.
+# be byte-identical at 1 and 2 worker domains (and so must its telemetry
+# stream), and the bucket k=1024 hot path must not allocate more per trial
+# than the committed seed baseline.
 "$cli" check bench-sweep < BENCH_sweep.json
 dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 1 > "$tmp/sweep_d1"
 dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 2 > "$tmp/sweep_d2"
 cmp "$tmp/sweep_d1" "$tmp/sweep_d2"
+dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --telemetry "$tmp/sweep_tel_d1" --domains 1 > /dev/null
+dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --telemetry "$tmp/sweep_tel_d2" --domains 2 > /dev/null
+cmp "$tmp/sweep_tel_d1" "$tmp/sweep_tel_d2"
 "$cli" check bench-sweep < "$tmp/sweep_d1"
 dune exec bench/main.exe -- --alloc-gate
 
