@@ -499,11 +499,12 @@ let profile_cmd =
           in
           let costs = List.map (fun (_, _, cost, _) -> cost) oks in
           let cost =
-            Engine.Merge.costs
-              ~players:(Array.length (List.hd costs).Commsim.Cost.players)
+            List.fold_left Commsim.Cost.add_seq
+              (Commsim.Cost.zero ~players:(Array.length (List.hd costs).Commsim.Cost.players))
               costs
           in
-          let registry = Engine.Merge.metrics (List.map (fun (_, reg, _, _) -> reg) oks) in
+          let registry = Obsv.Metrics.create () in
+          List.iter (fun (_, reg, _, _) -> Obsv.Metrics.merge_into ~into:registry reg) oks;
           let phases =
             Obsv.Export.merge_phases
               (List.map (fun (collector, _, _, _) -> Obsv.Export.phases collector) oks)
@@ -657,7 +658,9 @@ let chaos_config sizing =
   }
 
 let chaos_violations report =
-  List.map (( ^ ) "chaos invariant violated: ") (Workload.Chaos.invariant_violations report)
+  List.map
+    (( ^ ) "chaos invariant violated: ")
+    (Workload.Chaos.invariant_violations report.Workload.Chaos.cells)
 
 let chaos_cmd =
   let deadline_arg = some_int [ "deadline" ] "BITS" "Session event-time budget." in
@@ -901,21 +904,10 @@ let telemetry_cmd =
         ]
     in
     let report = T.run_overhead config in
-    let violations =
-      (if report.T.deterministic_match then []
-       else [ "telemetry: deterministic session fields diverged between passes" ])
-      @
-      match max_ratio with
-      | Some bound when report.T.ratio > bound ->
-          [
-            Printf.sprintf "telemetry: overhead ratio %.3f exceeds bound %.3f" report.T.ratio
-              bound;
-          ]
-      | _ -> []
-    in
     finish ~json ~out ~telemetry:None
       ~summary:(T.overhead_summary report ^ "\n")
-      (T.overhead_json ~reproduce report) violations
+      (T.overhead_json ~reproduce report)
+      (T.overhead_violations ?max_ratio report)
   in
   Cmd.v
     (Cmd.info "telemetry"
@@ -1051,21 +1043,24 @@ let bench_regress_cmd =
         | None -> 0
         | Some path -> (
             let contents = In_channel.with_open_text path In_channel.input_all in
-            match
-              Result.bind (Stats.Json.of_string contents) (G.compare_baseline ~tolerance report)
-            with
+            match Result.bind (Stats.Json.of_string contents) G.of_json with
             | Error e ->
                 Printf.eprintf "bench-regress: %s: %s\n" path e;
                 2
-            | Ok (compared, []) ->
-                Printf.eprintf "baseline check: %d cell(s) compared, all within tolerance %.2f\n"
-                  compared tolerance;
-                0
-            | Ok (compared, violations) ->
-                Printf.eprintf "baseline check: %d cell(s) compared, %d violation(s):\n" compared
-                  (List.length violations);
-                List.iter (fun v -> Printf.eprintf "  %s\n" (G.violation_message v)) violations;
-                1))
+            | Ok baseline -> (
+                match G.compare_baseline ~tolerance report baseline with
+                | compared, [] ->
+                    Printf.eprintf
+                      "baseline check: %d cell(s) compared, all within tolerance %.2f\n" compared
+                      tolerance;
+                    0
+                | compared, violations ->
+                    Printf.eprintf "baseline check: %d cell(s) compared, %d violation(s):\n"
+                      compared (List.length violations);
+                    List.iter
+                      (fun v -> Printf.eprintf "  %s\n" (G.violation_message v))
+                      violations;
+                    1)))
   in
   Cmd.v
     (Cmd.info "bench-regress"
@@ -1137,10 +1132,8 @@ let check_cmd =
   let run mode =
     let input = In_channel.input_all In_channel.stdin in
     let result =
-      match (Stats.Json.of_string input, mode) with
-      | Error msg, _ -> Error msg
-      | Ok _, None -> Ok ()
-      | Ok _, Some mode -> Workload.Schemas.check ~mode input
+      Result.bind (Stats.Json.of_string input) (fun doc ->
+          match mode with None -> Ok () | Some mode -> Workload.Schemas.check ~mode doc)
     in
     match result with
     | Ok () -> 0

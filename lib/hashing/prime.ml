@@ -66,11 +66,3 @@ let rec next_prime_from n = if is_prime n then n else next_prime_from (n + 1)
 let next_prime n =
   if n < 2 then invalid_arg "Prime.next_prime";
   next_prime_from n
-
-let random_prime rng ~below =
-  if below <= 2 then invalid_arg "Prime.random_prime";
-  let rec draw () =
-    let candidate = 2 + Prng.Rng.int rng (below - 2) in
-    if is_prime candidate then candidate else draw ()
-  in
-  draw ()

@@ -32,6 +32,8 @@ let float_repr f =
     else s ^ ".0"
   end
 
+let printed f = if Float.is_finite f then float_of_string (Printf.sprintf "%.12g" f) else f
+
 let rec emit buf ~indent ~level v =
   let pad n = if indent then Buffer.add_string buf (String.make (2 * n) ' ') in
   let newline () = if indent then Buffer.add_char buf '\n' in
@@ -278,3 +280,50 @@ let to_float_opt = function
   | _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None
+
+(* Typed decoding for the harnesses' [of_json] readers: every error names
+   the field, or the list index, it could not read. *)
+let field key conv v =
+  match Option.bind (member key v) conv with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing or mistyped %S" key)
+
+let expect key want v =
+  if member key v = Some want then Ok ()
+  else Error (Printf.sprintf "missing %S: %s marker" key (to_string want))
+
+let items key decode v =
+  match Option.bind (member key v) to_list_opt with
+  | None | Some [] -> Error (Printf.sprintf "missing or empty %S list" key)
+  | Some xs ->
+      let rec go i acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> (
+            match decode x with
+            | Ok d -> go (i + 1) (d :: acc) rest
+            | Error e -> Error (Printf.sprintf "%s[%d]: %s" key i e))
+      in
+      go 0 [] xs
+
+(* Leaves compare by rendering, so a stored %.12g float matches the value
+   it was printed from. *)
+let diff ~expected actual =
+  let rec go path expected actual =
+    let at key = if path = "" then key else path ^ "." ^ key in
+    match (expected, actual) with
+    | Obj fields, Obj _ ->
+        List.find_map
+          (fun (key, e) ->
+            match member key actual with
+            | None -> Some (at key ^ " is missing")
+            | Some a -> go (at key) e a)
+          fields
+    | List es, List actuals when List.length es = List.length actuals ->
+        List.find_mapi
+          (fun i (e, a) -> go (Printf.sprintf "%s[%d]" path i) e a)
+          (List.combine es actuals)
+    | _ ->
+        let e = to_string expected and a = to_string actual in
+        if e = a then None else Some (Printf.sprintf "%s is %s, recomputed %s" path a e)
+  in
+  go "" expected actual

@@ -377,10 +377,68 @@ let to_json ?reproduce report =
          ];
        ])
 
+let ( let* ) = Result.bind
+
+let cell_of_json j =
+  let open Stats.Json in
+  let count name =
+    let* v = field name to_int_opt j in
+    if v < 0 then Error (Printf.sprintf "negative %S" name) else Ok v
+  in
+  let* protocol = field "protocol" to_string_opt j in
+  let* campaign = field "campaign" to_string_opt j in
+  let* trials = count "trials" in
+  let* completed = count "completed" in
+  let* degraded = count "degraded" in
+  let* failed_safe = count "failed_safe" in
+  let* resumed = count "resumed" in
+  let* resumed_identical = count "resumed_identical" in
+  let* wrong = count "wrong" in
+  let* attempts_total = count "attempts_total" in
+  let* rejected = count "rejected" in
+  let* stalled = count "stalled" in
+  let* crashed = count "crashed" in
+  let* deadline = count "deadline" in
+  let* mean_spent_bits = field "mean_spent_bits" to_float_opt j in
+  let* mean_backoff_ticks = field "mean_backoff_ticks" to_float_opt j in
+  let* wasted_bits_total = count "wasted_bits_total" in
+  let* mean_wasted_bits = field "mean_wasted_bits" to_float_opt j in
+  let* recovered = count "recovered" in
+  let* mean_recovery_ticks = field "mean_recovery_ticks" to_float_opt j in
+  if trials < 1 then Error "fewer than 1 trial"
+  else
+    Ok
+      {
+        protocol;
+        campaign;
+        trials;
+        completed;
+        degraded;
+        failed_safe;
+        resumed;
+        resumed_identical;
+        wrong;
+        attempts_total;
+        rejected;
+        stalled;
+        crashed;
+        deadline;
+        mean_spent_bits;
+        mean_backoff_ticks;
+        wasted_bits_total;
+        mean_wasted_bits;
+        recovered;
+        mean_recovery_ticks;
+      }
+
+let of_json doc =
+  let* () = Stats.Json.expect "bench" (Stats.Json.Str "chaos") doc in
+  Stats.Json.items "cells" cell_of_json doc
+
 (* The chaos invariant, as a checkable predicate: every session ended in a
    structured outcome (the taxonomy partitions the trials), no exact result
    was wrong, and every exercised resume replayed identically. *)
-let invariant_violations report =
+let invariant_violations cells =
   List.concat_map
     (fun c ->
       let where = Printf.sprintf "%s/%s" c.protocol c.campaign in
@@ -402,7 +460,7 @@ let invariant_violations report =
              ]
            else []);
         ])
-    report.cells
+    cells
 
 let summary report =
   let table =

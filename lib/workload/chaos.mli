@@ -105,10 +105,15 @@ val run_cell :
     (telemetry as in {!run_cell} when [sink] is given). *)
 val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
 
-(** Violations of the chaos invariant (empty on a healthy report): outcome
+(** Violations of the chaos invariant (empty on healthy cells): outcome
     taxonomy partitions the trials, zero wrong results, every resume
-    byte-identical.  The CLI and the chaos bench fail on any entry. *)
-val invariant_violations : report -> string list
+    byte-identical.  The [chaos] command fails on any entry, and so does
+    [intersect_cli check bench-chaos] on the cells it decodes. *)
+val invariant_violations : cell list -> string list
+
+(** [of_json doc] decodes the cells of a [BENCH_chaos.json]-shaped
+    report; [Error] names the field it could not read. *)
+val of_json : Stats.Json.t -> (cell list, string) result
 
 (** Machine-readable report; the top-level marker field is
     ["bench": "chaos"] (checked by [intersect_cli check bench-chaos]). *)

@@ -8,22 +8,27 @@ type config = {
   protocols : string list;
 }
 
+type verdict = {
+  error_limit : float;
+  error_lower95 : float;
+  error_upper95 : float;
+  error_ok : bool;
+  rounds_limit : int;
+  rounds_ok : bool;
+  bits_limit : float;
+  bits_ok : bool;
+  pass : bool;
+}
+
 type cell = {
   protocol : string;
   statement : string;
   k : int;
   trials : int;
   failures : int;
-  error_limit : float;
-  error_lower95 : float;
-  error_ok : bool;
   rounds_max : int;
-  rounds_limit : int;
-  rounds_ok : bool;
   bits : Stats.Summary.t;
-  bits_limit : float;
-  bits_ok : bool;
-  pass : bool;
+  verdict : verdict;
 }
 
 type report = { config : config; cells : cell list; pass : bool }
@@ -193,9 +198,29 @@ let default =
 
 let smoke = { default with trials = 25; ks = [ 16 ] }
 
+let judge (entry : entry) ~k ~trials ~failures ~rounds_max ~mean_bits =
+  let error_limit = entry.error_limit k in
+  let error_lower95, error_upper95 = Stats.Binomial.wilson ~failures ~trials ~z:1.96 in
+  let rounds_limit = entry.rounds_limit k in
+  let bits_limit = entry.bits_limit k in
+  let error_ok = error_lower95 <= error_limit in
+  let rounds_ok = rounds_max <= rounds_limit in
+  let bits_ok = mean_bits <= bits_limit in
+  {
+    error_limit;
+    error_lower95;
+    error_upper95;
+    error_ok;
+    rounds_limit;
+    rounds_ok;
+    bits_limit;
+    bits_ok;
+    pass = error_ok && rounds_ok && bits_ok;
+  }
+
 type acc = { failures : int; rounds_max : int; bits_acc : Stats.Summary.Acc.t }
 
-let run_cell ?domains ~cache (config : config) entry ~k =
+let run_cell ?domains ~cache (config : config) (entry : entry) ~k =
   let stream =
     Engine.Seed_stream.create ~base:config.seed
       ~label:(Printf.sprintf "conform/%s/k%d" entry.name k)
@@ -220,29 +245,17 @@ let run_cell ?domains ~cache (config : config) entry ~k =
       ()
   in
   let bits = Stats.Summary.Acc.summarize acc.bits_acc in
-  let error_limit = entry.error_limit k in
-  let error_lower95, _ = Stats.Binomial.wilson ~failures:acc.failures ~trials:config.trials ~z:1.96 in
-  let rounds_limit = entry.rounds_limit k in
-  let bits_limit = entry.bits_limit k in
-  let error_ok = error_lower95 <= error_limit in
-  let rounds_ok = acc.rounds_max <= rounds_limit in
-  let bits_ok = bits.Stats.Summary.mean <= bits_limit in
   {
     protocol = entry.name;
     statement = entry.statement;
     k;
     trials = config.trials;
     failures = acc.failures;
-    error_limit;
-    error_lower95;
-    error_ok;
     rounds_max = acc.rounds_max;
-    rounds_limit;
-    rounds_ok;
     bits;
-    bits_limit;
-    bits_ok;
-    pass = error_ok && rounds_ok && bits_ok;
+    verdict =
+      judge entry ~k ~trials:config.trials ~failures:acc.failures ~rounds_max:acc.rounds_max
+        ~mean_bits:bits.Stats.Summary.mean;
   }
 
 let run ?domains (config : config) =
@@ -255,7 +268,7 @@ let run ?domains (config : config) =
       (fun entry -> List.map (fun k -> run_cell ?domains ~cache config entry ~k) config.ks)
       entries
   in
-  { config; cells; pass = List.for_all (fun (c : cell) -> c.pass) cells }
+  { config; cells; pass = List.for_all (fun c -> c.verdict.pass) cells }
 
 let json_of_cell c =
   Stats.Json.Obj
@@ -265,12 +278,12 @@ let json_of_cell c =
       ("k", Stats.Json.Int c.k);
       ("trials", Stats.Json.Int c.trials);
       ("failures", Stats.Json.Int c.failures);
-      ("error_limit", Stats.Json.Float c.error_limit);
-      ("error_lower95", Stats.Json.Float c.error_lower95);
-      ("error_ok", Stats.Json.Bool c.error_ok);
+      ("error_limit", Stats.Json.Float c.verdict.error_limit);
+      ("error_lower95", Stats.Json.Float c.verdict.error_lower95);
+      ("error_ok", Stats.Json.Bool c.verdict.error_ok);
       ("rounds_max", Stats.Json.Int c.rounds_max);
-      ("rounds_limit", Stats.Json.Int c.rounds_limit);
-      ("rounds_ok", Stats.Json.Bool c.rounds_ok);
+      ("rounds_limit", Stats.Json.Int c.verdict.rounds_limit);
+      ("rounds_ok", Stats.Json.Bool c.verdict.rounds_ok);
       ( "bits",
         Stats.Json.Obj
           [
@@ -279,9 +292,9 @@ let json_of_cell c =
             ("min", Stats.Json.Float c.bits.Stats.Summary.min);
             ("max", Stats.Json.Float c.bits.Stats.Summary.max);
           ] );
-      ("bits_limit", Stats.Json.Float c.bits_limit);
-      ("bits_ok", Stats.Json.Bool c.bits_ok);
-      ("pass", Stats.Json.Bool c.pass);
+      ("bits_limit", Stats.Json.Float c.verdict.bits_limit);
+      ("bits_ok", Stats.Json.Bool c.verdict.bits_ok);
+      ("pass", Stats.Json.Bool c.verdict.pass);
     ]
 
 let to_json ?reproduce report =
@@ -319,12 +332,12 @@ let summary report =
           string_of_int c.k;
           Printf.sprintf "%d/%d" (c.trials - c.failures) c.trials;
           string_of_int c.rounds_max;
-          string_of_int c.rounds_limit;
+          string_of_int c.verdict.rounds_limit;
           Printf.sprintf "%.0f" c.bits.Stats.Summary.mean;
-          Printf.sprintf "%.0f" c.bits_limit;
-          Printf.sprintf "%.2g" c.error_lower95;
-          Printf.sprintf "%.2g" c.error_limit;
-          (if c.pass then "yes" else "NO");
+          Printf.sprintf "%.0f" c.verdict.bits_limit;
+          Printf.sprintf "%.2g" c.verdict.error_lower95;
+          Printf.sprintf "%.2g" c.verdict.error_limit;
+          (if c.verdict.pass then "yes" else "NO");
         ])
     report.cells;
   Stats.Table.render table

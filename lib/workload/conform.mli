@@ -69,22 +69,34 @@ val default : config
 (** Seconds-scale: [k = 16], 25 trials, every entry. *)
 val smoke : config
 
+(** A clean cell's verdict, derived from its raw counts alone. *)
+type verdict = {
+  error_limit : float;  (** the statement's failure-probability bound at [k] *)
+  error_lower95 : float;  (** Wilson 95% bounds on the true rate *)
+  error_upper95 : float;
+  error_ok : bool;  (** [error_lower95 <= error_limit] *)
+  rounds_limit : int;  (** the statement's round budget at [k] *)
+  rounds_ok : bool;  (** [rounds_max <= rounds_limit] *)
+  bits_limit : float;  (** constant-factor envelope on the mean *)
+  bits_ok : bool;  (** [mean_bits <= bits_limit] *)
+  pass : bool;  (** all three checks *)
+}
+
+(** [judge entry ~k ~trials ~failures ~rounds_max ~mean_bits] is the one
+    clean-cell rule: {!run}, the {!Sweep} mega-run's clean cells and the
+    [bench-sweep] checker all call it. *)
+val judge :
+  entry -> k:int -> trials:int -> failures:int -> rounds_max:int -> mean_bits:float -> verdict
+
 type cell = {
   protocol : string;
   statement : string;  (** the envelope being asserted, human-readable *)
   k : int;
   trials : int;
   failures : int;  (** trials that did not output exactly [S ∩ T] *)
-  error_limit : float;  (** the statement's failure-probability bound *)
-  error_lower95 : float;  (** Wilson 95% lower bound on the true rate *)
-  error_ok : bool;  (** [error_lower95 <= error_limit] *)
   rounds_max : int;  (** worst observed round count *)
-  rounds_limit : int;  (** the statement's round budget at this [k] *)
-  rounds_ok : bool;
   bits : Stats.Summary.t;  (** total-bits distribution over the trials *)
-  bits_limit : float;  (** constant-factor envelope on the mean *)
-  bits_ok : bool;
-  pass : bool;  (** all three checks *)
+  verdict : verdict;  (** {!judge} over the counts above *)
 }
 
 type report = { config : config; cells : cell list; pass : bool }

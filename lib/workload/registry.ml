@@ -329,7 +329,7 @@ let check_artifact ~env ~cli_subcommands e =
                         (String.concat ", " Schemas.bench_modes);
                     ]
                 | Some mode -> (
-                    match Schemas.check ~mode contents with
+                    match Schemas.check ~mode doc with
                     | Ok () -> []
                     | Error msg ->
                         [ Printf.sprintf "artifact %s fails json_check --%s: %s" artifact mode msg ])

@@ -237,71 +237,83 @@ let summary (report : report) =
   Buffer.add_string buf (Stats.Table.render table);
   Buffer.contents buf
 
-(* ---------- baseline comparison ---------- *)
+(* ---------- decode and baseline comparison ---------- *)
+
+let ( let* ) = Result.bind
+
+let cell_of_json j =
+  let open Stats.Json in
+  let* protocol = field "protocol" to_string_opt j in
+  let* k = field "k" to_int_opt j in
+  let* trials = field "trials" to_int_opt j in
+  let* reps = field "reps" to_int_opt j in
+  let* ns_per_run = field "ns_per_run" to_float_opt j in
+  let* alloc_bytes_per_run = field "alloc_bytes_per_run" to_float_opt j in
+  let* total_bits = field "total_bits" to_int_opt j in
+  let* messages = field "messages" to_int_opt j in
+  let* rounds = field "rounds" to_int_opt j in
+  if ns_per_run <= 0.0 || alloc_bytes_per_run <= 0.0 then Error "non-positive timings"
+  else if total_bits <= 0 || messages <= 0 || rounds <= 0 then
+    Error "non-positive deterministic fields"
+  else
+    Ok { protocol; k; trials; reps; ns_per_run; alloc_bytes_per_run; total_bits; messages; rounds }
+
+let of_json doc =
+  let open Stats.Json in
+  let* () = expect "bench" (Str "hotpath") doc in
+  let* seed = field "seed" to_int_opt doc in
+  let* universe_bits = field "universe_bits" to_int_opt doc in
+  let* trials = field "trials" to_int_opt doc in
+  let* ks = items "ks" (fun k -> Option.to_result ~none:"not an int" (to_int_opt k)) doc in
+  let* cells = items "cells" cell_of_json doc in
+  (* Within a protocol, the sweep visits k in increasing order. *)
+  let* _last_k =
+    List.fold_left
+      (fun acc (c : cell) ->
+        let* last_k = acc in
+        match List.assoc_opt c.protocol last_k with
+        | Some prev when c.k <= prev -> Error (Printf.sprintf "k not increasing for %S" c.protocol)
+        | _ -> Ok ((c.protocol, c.k) :: last_k))
+      (Ok []) cells
+  in
+  Ok { seed; universe_bits; trials; ks; cells }
 
 type violation = { cell : string; field : string; baseline : float; current : float }
 
 let violation_message v =
   Printf.sprintf "%s: %s baseline %.0f, current %.0f" v.cell v.field v.baseline v.current
 
-(* Pull the baseline cells out of a parsed BENCH_hotpath.json. *)
-let baseline_cells json =
-  let open Stats.Json in
-  match member "cells" json with
-  | Some (List cells) ->
-      Ok
-        (List.filter_map
-           (fun cell ->
-             match
-               ( Option.bind (member "protocol" cell) to_string_opt,
-                 Option.bind (member "k" cell) to_int_opt )
-             with
-             | Some protocol, Some k -> Some ((protocol, k), cell)
-             | _ -> None)
-           cells)
-  | _ -> Error "baseline: missing cells array"
-
-(* Compare a fresh report against a committed baseline.  Deterministic
-   fields (bits, messages, rounds, trials) must match exactly; ns/run and
-   alloc-bytes/run may regress by at most [tolerance] (a fraction: 0.5
-   allows 1.5x the baseline).  Cells absent from the baseline are skipped,
-   so a smoke run checks only the cells it shares with the committed
-   sweep. *)
-let compare_baseline ~tolerance (report : report) json =
-  match baseline_cells json with
-  | Error e -> Error e
-  | Ok base ->
-      let violations = ref [] in
-      let compared = ref 0 in
-      List.iter
-        (fun c ->
-          match List.assoc_opt (c.protocol, c.k) base with
-          | None -> ()
-          | Some bcell ->
-              incr compared;
-              let cell = Printf.sprintf "%s k=%d" c.protocol c.k in
-              let int_field name current =
-                match Option.bind (Stats.Json.member name bcell) Stats.Json.to_int_opt with
-                | Some b when b <> current ->
-                    violations :=
-                      { cell; field = name; baseline = float_of_int b; current = float_of_int current }
-                      :: !violations
-                | Some _ -> ()
-                | None ->
-                    violations := { cell; field = name ^ " (missing)"; baseline = nan; current = float_of_int current } :: !violations
-              in
-              int_field "total_bits" c.total_bits;
-              int_field "messages" c.messages;
-              int_field "rounds" c.rounds;
-              int_field "trials" c.trials;
-              let timing_field name current =
-                match Option.bind (Stats.Json.member name bcell) Stats.Json.to_float_opt with
-                | Some b when Float.is_finite b && b > 0.0 && current > b *. (1.0 +. tolerance) ->
-                    violations := { cell; field = name; baseline = b; current } :: !violations
-                | _ -> ()
-              in
-              timing_field "ns_per_run" c.ns_per_run;
-              timing_field "alloc_bytes_per_run" c.alloc_bytes_per_run)
-        report.cells;
-      Ok (!compared, List.rev !violations)
-
+(* Deterministic fields (bits, messages, rounds, trials) must match
+   exactly; ns/run and alloc-bytes/run may regress by at most [tolerance]
+   (a fraction: 0.5 allows 1.5x the baseline).  Cells absent from the
+   baseline are skipped, so a smoke run checks only the cells it shares
+   with the committed sweep. *)
+let compare_baseline ~tolerance (report : report) (baseline : report) =
+  let shared =
+    List.filter_map
+      (fun (c : cell) ->
+        List.find_opt (fun (b : cell) -> b.protocol = c.protocol && b.k = c.k) baseline.cells
+        |> Option.map (fun b -> (b, c)))
+      report.cells
+  in
+  let violations ((b : cell), (c : cell)) =
+    let cell = Printf.sprintf "%s k=%d" c.protocol c.k in
+    let exact field bv cv =
+      if bv = cv then []
+      else [ { cell; field; baseline = float_of_int bv; current = float_of_int cv } ]
+    in
+    let timing field bv cv =
+      if cv > bv *. (1.0 +. tolerance) then [ { cell; field; baseline = bv; current = cv } ]
+      else []
+    in
+    List.concat
+      [
+        exact "total_bits" b.total_bits c.total_bits;
+        exact "messages" b.messages c.messages;
+        exact "rounds" b.rounds c.rounds;
+        exact "trials" b.trials c.trials;
+        timing "ns_per_run" b.ns_per_run c.ns_per_run;
+        timing "alloc_bytes_per_run" b.alloc_bytes_per_run c.alloc_bytes_per_run;
+      ]
+  in
+  (List.length shared, List.concat_map violations shared)

@@ -63,15 +63,20 @@ val deterministic_json : report -> Stats.Json.t
 
 val summary : report -> string
 
+(** [of_json doc] decodes a [BENCH_hotpath.json]-shaped report and holds
+    it to the format's rules: every field present and typed, timings and
+    deterministic fields positive, and [k] increasing within each
+    protocol.  [Error] names the first field or cell that breaks one. *)
+val of_json : Stats.Json.t -> (report, string) result
+
 type violation = { cell : string; field : string; baseline : float; current : float }
 
 val violation_message : violation -> string
 
-(** [compare_baseline ~tolerance report baseline_json] checks [report]
-    against a parsed committed baseline: deterministic fields must match
+(** [compare_baseline ~tolerance report baseline] checks [report] against
+    a decoded committed baseline: deterministic fields must match
     exactly; [ns_per_run] and [alloc_bytes_per_run] may exceed the
     baseline by at most a factor of [1 + tolerance].  Returns the number
     of compared cells (cells missing from the baseline are skipped, so
     smoke subsets compare cleanly) and the violations. *)
-val compare_baseline :
-  tolerance:float -> report -> Stats.Json.t -> (int * violation list, string) result
+val compare_baseline : tolerance:float -> report -> report -> int * violation list

@@ -9,8 +9,17 @@
     registry's frontmatter field) means the same thing on the command
     line and inside [experiments verify].
 
-    Checks are pure string -> result functions over {!Stats.Json}; they
-    never touch the filesystem. *)
+    The bench modes re-derive verdicts; they do not just validate shape.
+    Each dispatches to the harness that writes the artifact ({!Chaos},
+    {!Regress}, {!Sweep}, {!Telemetry}): its [of_json] decodes the raw
+    fields, the harness's own verdict code recomputes every derived field
+    (Wilson bounds, limits, gate booleans, [pass], [total_trials], the
+    telemetry [ratio]), the re-rendered sweep and telemetry reports must
+    equal the input field for field, and the recomputed verdict must
+    hold.
+
+    Checks are pure functions over a parsed {!Stats.Json.t}; they never
+    touch the filesystem. *)
 
 (** Every known mode name, sorted: ["bench-chaos"], ["bench-hotpath"],
     ["bench-sweep"], ["bench-telemetry"], ["experiments"],
@@ -22,7 +31,8 @@ val modes : string list
     [json_check] frontmatter field. *)
 val bench_modes : string list
 
-(** [check ~mode contents] validates [contents] against the named schema.
-    [Error] carries a one-line diagnosis (unknown modes are an [Error]
-    too, never an exception). *)
-val check : mode:string -> string -> (unit, string) result
+(** [check ~mode doc] validates the parsed document [doc] against the
+    named schema.  [Error] carries a one-line diagnosis prefixed
+    ["<mode> schema: "] (unknown modes are an [Error] too, never an
+    exception). *)
+val check : mode:string -> Stats.Json.t -> (unit, string) result

@@ -175,4 +175,3 @@ let adversarial rng ~k =
   ]
 
 let intersect = Iset.inter
-let union = Iset.union

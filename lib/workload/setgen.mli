@@ -41,6 +41,4 @@ val adversarial : Prng.Rng.t -> k:int -> shape list
 
 (** Ground-truth helpers on sorted arrays. *)
 val intersect : int array -> int array -> int array
-
-val union : int array -> int array -> int array
 val is_sorted_set : int array -> bool

@@ -142,6 +142,13 @@ let baseline ?domains (config : config) base ~proto_name =
   in
   mean_bits_of (Array.to_list reports)
 
+(* The wrapper's rare-event gate: an accepted fingerprint collision has
+   probability <= attempts * 2^-check_bits per trial, so a cell passes
+   with no failure or with a failure rate within that bound. *)
+let rare_event_gate ~attempts ~check_bits ~failures ~trials =
+  let bound = float_of_int attempts *. (2.0 ** float_of_int (-check_bits)) in
+  (bound, failures = 0 || float_of_int failures /. float_of_int trials <= bound)
+
 let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link ~baseline_bits =
   let stream = cell_stream config ~proto_name ~plan_name in
   let outcomes =
@@ -182,8 +189,9 @@ let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link 
   let mean_bits = mean_bits_of reports in
   let failures = config.trials - exact in
   let error_rate = float_of_int failures /. float_of_int config.trials in
-  let error_bound =
-    float_of_int config.budget_attempts *. (2.0 ** float_of_int (-config.check_bits))
+  let error_bound, within_bound =
+    rare_event_gate ~attempts:config.budget_attempts ~check_bits:config.check_bits ~failures
+      ~trials:config.trials
   in
   {
     protocol = proto_name;
@@ -202,7 +210,7 @@ let run_cell ?domains ?sink (config : config) base ~proto_name ~plan_name ~link 
     error_rate;
     error_upper95 = Stats.Binomial.upper95 ~failures ~trials:config.trials;
     error_bound;
-    within_bound = failures = 0 || error_rate <= error_bound;
+    within_bound;
     flipped_bits = tally.Commsim.Faults.flipped_bits;
     truncated = tally.Commsim.Faults.truncated_messages;
     duplicated = tally.Commsim.Faults.duplicated_messages;

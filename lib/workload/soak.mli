@@ -60,6 +60,13 @@ val trial :
   Prng.Rng.t ->
   Intersect.Resilient.report * bool
 
+(** [rare_event_gate ~attempts ~check_bits ~failures ~trials] is the
+    wrapper's rare-event gate, shared with {!Sweep}'s faulted cells:
+    the bound [attempts · 2^-check_bits], and whether
+    [failures = 0 || failures / trials <= bound]. *)
+val rare_event_gate :
+  attempts:int -> check_bits:int -> failures:int -> trials:int -> float * bool
+
 (** The JSON object of a link's per-message fault rates
     ([{flip; trunc; dup; drop}]). *)
 val json_of_link : Commsim.Faults.link -> Stats.Json.t

@@ -136,8 +136,62 @@ let acc_merge a b =
   Obsv.Sketch.merge_into ~into:a.sketch b.sketch;
   a
 
-let wilson ~failures ~trials =
-  Stats.Binomial.wilson ~failures ~trials ~z:1.96
+(* ---------- verdicts: the same rule on run and on check ---------- *)
+
+let clean_cell_of (entry : Conform.entry) ~k ~trials ~failures ~rounds_max ~bits =
+  let mean_bits = Stats.Json.printed bits.mean (* as the check reads it *) in
+  let v = Conform.judge entry ~k ~trials ~failures ~rounds_max ~mean_bits in
+  {
+    kind = "clean";
+    protocol = entry.Conform.name;
+    plan = None;
+    k;
+    trials;
+    failures;
+    degraded = 0;
+    error_limit = v.Conform.error_limit;
+    error_lower95 = v.Conform.error_lower95;
+    error_upper95 = v.Conform.error_upper95;
+    error_ok = v.Conform.error_ok;
+    rounds_max;
+    rounds_limit = Some v.Conform.rounds_limit;
+    rounds_ok = v.Conform.rounds_ok;
+    bits;
+    bits_limit = Some v.Conform.bits_limit;
+    bits_ok = v.Conform.bits_ok;
+    pass = v.Conform.pass;
+  }
+
+(* At check_bits = 32 a single failure in 10^6 trials is already a gate
+   violation — exactly the regime the mega-sweep exists to watch. *)
+let fault_cell_of ~attempts ~check_bits ~protocol ~plan ~k ~trials ~failures ~degraded
+    ~rounds_max ~bits =
+  let error_limit, error_ok = Soak.rare_event_gate ~attempts ~check_bits ~failures ~trials in
+  let error_lower95, error_upper95 = Stats.Binomial.wilson ~failures ~trials ~z:1.96 in
+  {
+    kind = "faulted";
+    protocol;
+    plan = Some plan;
+    k;
+    trials;
+    failures;
+    degraded;
+    error_limit;
+    error_lower95;
+    error_upper95;
+    error_ok;
+    rounds_max;
+    rounds_limit = None;
+    rounds_ok = true;
+    bits;
+    bits_limit = None;
+    bits_ok = true;
+    pass = error_ok;
+  }
+
+let totals cells =
+  ( List.fold_left (fun acc (c : cell) -> acc + c.trials) 0 cells,
+    List.for_all (fun (c : cell) -> c.pass) cells )
 
 (* ---------- clean cells: the Conform registry at mega scale ---------- *)
 
@@ -160,35 +214,8 @@ let clean_cell_acc ?domains (config : config) ~cache (entry : Conform.entry) ~k 
     Engine.Pool.fold ?domains ~trials:config.trials_per_cell ~init:acc_init ~step
       ~merge:acc_merge ()
   in
-  let trials = config.trials_per_cell in
-  let bits = summarize_bits acc.sketch in
-  let error_limit = entry.Conform.error_limit k in
-  let error_lower95, error_upper95 = wilson ~failures:acc.failures ~trials in
-  let rounds_limit = entry.Conform.rounds_limit k in
-  let bits_limit = entry.Conform.bits_limit k in
-  let error_ok = error_lower95 <= error_limit in
-  let rounds_ok = acc.rounds_max <= rounds_limit in
-  let bits_ok = bits.mean <= bits_limit in
-  ( {
-      kind = "clean";
-      protocol = entry.Conform.name;
-      plan = None;
-      k;
-      trials;
-      failures = acc.failures;
-      degraded = 0;
-      error_limit;
-      error_lower95;
-      error_upper95;
-      error_ok;
-      rounds_max = acc.rounds_max;
-      rounds_limit = Some rounds_limit;
-      rounds_ok;
-      bits;
-      bits_limit = Some bits_limit;
-      bits_ok;
-      pass = error_ok && rounds_ok && bits_ok;
-    },
+  ( clean_cell_of entry ~k ~trials:config.trials_per_cell ~failures:acc.failures
+      ~rounds_max:acc.rounds_max ~bits:(summarize_bits acc.sketch),
     acc.sketch )
 
 let clean_cell ?domains (config : config) (entry : Conform.entry) ~k =
@@ -221,38 +248,10 @@ let fault_cell_acc ?domains (config : config) ~bases ~proto_name ~k ~plan_name ~
     Engine.Pool.fold ?domains ~trials:config.trials_per_cell ~init:acc_init ~step
       ~merge:acc_merge ()
   in
-  let trials = config.trials_per_cell in
-  let bits = summarize_bits acc.sketch in
-  (* The resilient wrapper's rare-event bound: an accepted fingerprint
-     collision, probability <= attempts * 2^-check_bits per trial.  At
-     check_bits = 32 a single failure in 10^6 trials is already a gate
-     violation — exactly the regime the mega-sweep exists to watch. *)
-  let error_limit =
-    float_of_int config.budget_attempts *. (2.0 ** float_of_int (-config.check_bits))
-  in
-  let error_rate = float_of_int acc.failures /. float_of_int trials in
-  let error_lower95, error_upper95 = wilson ~failures:acc.failures ~trials in
-  let error_ok = acc.failures = 0 || error_rate <= error_limit in
-  ( {
-      kind = "faulted";
-      protocol = proto_name;
-      plan = Some plan_name;
-      k;
-      trials;
-      failures = acc.failures;
-      degraded = acc.degraded;
-      error_limit;
-      error_lower95;
-      error_upper95;
-      error_ok;
-      rounds_max = acc.rounds_max;
-      rounds_limit = None;
-      rounds_ok = true;
-      bits;
-      bits_limit = None;
-      bits_ok = true;
-      pass = error_ok;
-    },
+  ( fault_cell_of ~attempts:config.budget_attempts ~check_bits:config.check_bits
+      ~protocol:proto_name ~plan:plan_name ~k ~trials:config.trials_per_cell
+      ~failures:acc.failures ~degraded:acc.degraded ~rounds_max:acc.rounds_max
+      ~bits:(summarize_bits acc.sketch),
     acc.sketch )
 
 (* ---------- the matrix ---------- *)
@@ -301,12 +300,8 @@ let run ?domains ?sink (config : config) =
       config.fault_protocols
   in
   let cells = clean @ faulted in
-  {
-    config;
-    cells;
-    total_trials = List.fold_left (fun acc (c : cell) -> acc + c.trials) 0 cells;
-    pass = List.for_all (fun (c : cell) -> c.pass) cells;
-  }
+  let total_trials, pass = totals cells in
+  { config; cells; total_trials; pass }
 
 (* ---------- export ---------- *)
 
@@ -344,6 +339,16 @@ let json_of_cell (c : cell) =
       ("pass", Stats.Json.Bool c.pass);
     ]
 
+let verdict_fields cells =
+  let total_trials, pass = totals cells in
+  [
+    ("cells", Stats.Json.List (List.map json_of_cell cells));
+    ("total_trials", Stats.Json.Int total_trials);
+    ("pass", Stats.Json.Bool pass);
+  ]
+
+let verdict_json cells = Stats.Json.Obj (verdict_fields cells)
+
 let to_json ?reproduce (report : report) =
   let c = report.config in
   Stats.Json.Obj
@@ -369,11 +374,55 @@ let to_json ?reproduce (report : report) =
                  ("budget_attempts", Stats.Json.Int c.budget_attempts);
                  ("check_bits", Stats.Json.Int c.check_bits);
                ] );
-           ("cells", Stats.Json.List (List.map json_of_cell report.cells));
-           ("total_trials", Stats.Json.Int report.total_trials);
-           ("pass", Stats.Json.Bool report.pass);
          ];
+         verdict_fields report.cells;
        ])
+
+(* ---------- decode: the raw counts a verdict reads ---------- *)
+
+let ( let* ) = Result.bind
+
+let bits_of_json j =
+  let open Stats.Json in
+  let* mean = field "mean" to_float_opt j in
+  let* p50 = field "p50" to_int_opt j in
+  let* p90 = field "p90" to_int_opt j in
+  let* p99 = field "p99" to_int_opt j in
+  let* min_bits = field "min" to_int_opt j in
+  let* max_bits = field "max" to_int_opt j in
+  Ok { mean; p50; p90; p99; min_bits; max_bits }
+
+let cell_of_json ~attempts ~check_bits j =
+  let open Stats.Json in
+  let* kind = field "kind" to_string_opt j in
+  let* protocol = field "protocol" to_string_opt j in
+  let* k = field "k" to_int_opt j in
+  let* trials = field "trials" to_int_opt j in
+  let* failures = field "failures" to_int_opt j in
+  let* degraded = field "degraded" to_int_opt j in
+  let* rounds_max = field "rounds_max" to_int_opt j in
+  let* bits = Result.bind (field "bits" Option.some j) bits_of_json in
+  if k < 1 || trials < 1 || failures < 0 || failures > trials then
+    Error "needs k >= 1, trials >= 1 and 0 <= failures <= trials"
+  else
+    match (kind, member "plan" j) with
+    | "clean", Some Null -> (
+        match Conform.entry_of_name protocol with
+        | exception Invalid_argument msg -> Error msg
+        | entry -> Ok (clean_cell_of entry ~k ~trials ~failures ~rounds_max ~bits))
+    | "faulted", Some (Str plan) ->
+        Ok
+          (fault_cell_of ~attempts ~check_bits ~protocol ~plan ~k ~trials ~failures ~degraded
+             ~rounds_max ~bits)
+    | _ -> Error "kind must be \"clean\" with a null plan or \"faulted\" with a named one"
+
+let of_json doc =
+  let open Stats.Json in
+  let* () = expect "bench" (Str "sweep") doc in
+  let* config = field "config" Option.some doc in
+  let* attempts = field "budget_attempts" to_int_opt config in
+  let* check_bits = field "check_bits" to_int_opt config in
+  items "cells" (cell_of_json ~attempts ~check_bits) doc
 
 let summary (report : report) =
   let table =

@@ -96,5 +96,18 @@ val run : ?domains:int -> ?sink:Telemetry.sink -> config -> report
     [intersect_cli check bench-sweep]). *)
 val to_json : ?reproduce:string -> report -> Stats.Json.t
 
+(** [of_json doc] decodes a [BENCH_sweep.json]-shaped report's raw
+    counts (the config's [budget_attempts] and [check_bits]; per cell
+    kind, protocol, plan, k, trials, failures, degraded, rounds_max and
+    bits) and re-derives every other cell field with the rule {!run}
+    uses: {!Conform.judge} for clean cells, {!Soak.rare_event_gate} for
+    faulted ones.  [Error] names the field it could not read. *)
+val of_json : Stats.Json.t -> (cell list, string) result
+
+(** The report's cells with their derived [total_trials] and [pass] —
+    the fields [intersect_cli check bench-sweep] compares against the
+    stored ones. *)
+val verdict_json : cell list -> Stats.Json.t
+
 (** Human-readable cell table. *)
 val summary : report -> string

@@ -216,17 +216,26 @@ let run_pass (c : overhead_config) ~telemetry =
     completed = !completed;
   }
 
-let run_overhead (c : overhead_config) =
-  if c.sessions < 1 then invalid_arg "Telemetry.run_overhead: sessions";
-  let off = run_pass c ~telemetry:false in
-  let on_ = run_pass c ~telemetry:true in
+(* The derived fields, from the two passes alone: what [run_overhead]
+   writes and what the [bench-telemetry] check recomputes.  The timings
+   are taken as the report prints them, so the ratio the writer stores is
+   the ratio the check recomputes from the file. *)
+let overhead_of_passes config ~off ~on_ =
+  let printed p = { p with ns_per_session = Stats.Json.printed p.ns_per_session } in
+  let off = printed off and on_ = printed on_ in
   {
-    config = c;
+    config;
     off;
     on_;
     ratio = (if off.ns_per_session > 0.0 then on_.ns_per_session /. off.ns_per_session else 0.0);
     deterministic_match = off.spent_bits = on_.spent_bits && off.completed = on_.completed;
   }
+
+let run_overhead (c : overhead_config) =
+  if c.sessions < 1 then invalid_arg "Telemetry.run_overhead: sessions";
+  let off = run_pass c ~telemetry:false in
+  let on_ = run_pass c ~telemetry:true in
+  overhead_of_passes c ~off ~on_
 
 let pass_json p =
   Stats.Json.Obj
@@ -258,6 +267,45 @@ let overhead_json ?reproduce r =
            ("deterministic_match", Stats.Json.Bool r.deterministic_match);
          ];
        ])
+
+(* The regression bound BENCH_telemetry.json is held to; live runs on
+   shared machines pass their own, looser --max-ratio. *)
+let committed_max_ratio = 1.25
+
+let overhead_violations ?max_ratio r =
+  (if r.deterministic_match then []
+   else [ "telemetry: deterministic session fields diverged between passes" ])
+  @
+  match max_ratio with
+  | Some bound when r.ratio > bound ->
+      [ Printf.sprintf "telemetry: overhead ratio %.3f exceeds bound %.3f" r.ratio bound ]
+  | _ -> []
+
+let ( let* ) = Result.bind
+
+let pass_of_json name doc =
+  let open Stats.Json in
+  Result.map_error (Printf.sprintf "%s: %s" name)
+    (let* p = field name Option.some doc in
+     let* ns_per_session = field "ns_per_session" to_float_opt p in
+     let* spent_bits = field "spent_bits" to_int_opt p in
+     let* completed = field "completed" to_int_opt p in
+     if ns_per_session <= 0.0 || spent_bits <= 0 || completed < 0 then
+       Error "ns_per_session and spent_bits must be positive, completed non-negative"
+     else Ok { ns_per_session; spent_bits; completed })
+
+let overhead_of_json doc =
+  let open Stats.Json in
+  let* () = expect "bench" (Str "telemetry") doc in
+  let* c = field "config" Option.some doc in
+  let* seed = field "seed" to_int_opt c in
+  let* k = field "k" to_int_opt c in
+  let* universe_bits = field "universe_bits" to_int_opt c in
+  let* sessions = field "sessions" to_int_opt c in
+  let* off = pass_of_json "off" doc in
+  let* on_ = pass_of_json "on" doc in
+  if k < 1 || sessions < 1 then Error "config k/sessions must be >= 1"
+  else Ok (overhead_of_passes { seed; k; universe_bits; sessions } ~off ~on_)
 
 let overhead_summary r =
   Printf.sprintf

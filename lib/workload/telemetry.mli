@@ -34,7 +34,6 @@ val add_postmortem : sink -> Stats.Json.t -> unit
     to the stream. *)
 val snapshot : sink -> Obsv.Snapshot.t
 
-val snapshots : sink -> Obsv.Snapshot.t list
 val last_snapshot : sink -> Obsv.Snapshot.t option
 val postmortems : sink -> (int * Stats.Json.t) list
 
@@ -87,8 +86,27 @@ type overhead_report = {
     only asymmetry). *)
 val run_overhead : overhead_config -> overhead_report
 
+(** The report of two passes, timings taken as {!Stats.Json.printed}
+    gives them: {!run_overhead} and {!overhead_of_json} share it, so a
+    written report re-derives exactly from its own file. *)
+val overhead_of_passes : overhead_config -> off:pass -> on_:pass -> overhead_report
+
 (** Marker field ["bench": "telemetry"] (checked by
     [intersect_cli check bench-telemetry]). *)
 val overhead_json : ?reproduce:string -> overhead_report -> Stats.Json.t
+
+(** The on/off ratio bound the committed [BENCH_telemetry.json] is held
+    to (1.25); live runs on shared machines pass their own [--max-ratio]. *)
+val committed_max_ratio : float
+
+(** The overhead verdict, shared by the [telemetry] command and the
+    [bench-telemetry] check: the deterministic fields must agree between
+    the passes and, given [max_ratio], the ratio must not exceed it. *)
+val overhead_violations : ?max_ratio:float -> overhead_report -> string list
+
+(** [overhead_of_json doc] decodes the config and both passes of a
+    [BENCH_telemetry.json]-shaped report and recomputes [ratio] and
+    [deterministic_match] with the code {!run_overhead} uses. *)
+val overhead_of_json : Stats.Json.t -> (overhead_report, string) result
 
 val overhead_summary : overhead_report -> string

@@ -24,7 +24,8 @@ let test_lemma_3_3_rounds () =
     (fun k ->
       let cell = cell_for report ~protocol:"basic" ~k in
       check (Printf.sprintf "k=%d rounds" k) 4 cell.Workload.Conform.rounds_max;
-      check (Printf.sprintf "k=%d budget" k) 4 cell.Workload.Conform.rounds_limit)
+      check (Printf.sprintf "k=%d budget" k) 4
+        cell.Workload.Conform.verdict.Workload.Conform.rounds_limit)
     ks
 
 (* Fact 3.5: randomized equality is one message + one confirmation. *)
@@ -93,13 +94,14 @@ let test_envelope_fields_consistent () =
   let report = run ~protocols:Workload.Conform.entry_names ~ks:[ 16 ] ~trials:10 in
   List.iter
     (fun (c : Workload.Conform.cell) ->
+      let v = c.Workload.Conform.verdict in
       check_bool (c.Workload.Conform.protocol ^ " rounds_ok")
-        (c.Workload.Conform.rounds_max <= c.Workload.Conform.rounds_limit)
-        c.Workload.Conform.rounds_ok;
+        (c.Workload.Conform.rounds_max <= v.Workload.Conform.rounds_limit)
+        v.Workload.Conform.rounds_ok;
       check_bool (c.Workload.Conform.protocol ^ " pass is conjunction")
-        (c.Workload.Conform.rounds_ok && c.Workload.Conform.bits_ok
-       && c.Workload.Conform.error_ok)
-        c.Workload.Conform.pass)
+        (v.Workload.Conform.rounds_ok && v.Workload.Conform.bits_ok
+       && v.Workload.Conform.error_ok)
+        v.Workload.Conform.pass)
     report.Workload.Conform.cells
 
 (* ---------- Sweep (the mega-matrix runner) ---------- *)

@@ -237,7 +237,9 @@ let test_merge_costs_associative_commutative () =
   let a = cost_of ~bits:3 ~rounds:1
   and b = cost_of ~bits:5 ~rounds:2
   and c = cost_of ~bits:7 ~rounds:4 in
-  let total l = (Engine.Merge.costs ~players:2 l).Commsim.Cost.total_bits in
+  let total l =
+    (List.fold_left Commsim.Cost.add_seq (Commsim.Cost.zero ~players:2) l).Commsim.Cost.total_bits
+  in
   check "assoc/comm bits" (total [ a; b; c ]) (total [ c; a; b ]);
   check "sum" 15 (total [ a; b; c ])
 
@@ -251,8 +253,13 @@ let test_merge_metrics () =
     r
   in
   let r1 = mk 3 10 and r2 = mk 4 2 in
-  let merged = Engine.Merge.metrics [ r1; r2 ] in
-  let merged' = Engine.Merge.metrics [ r2; r1 ] in
+  let merge registries =
+    let into = Obsv.Metrics.create () in
+    List.iter (fun r -> Obsv.Metrics.merge_into ~into r) registries;
+    into
+  in
+  let merged = merge [ r1; r2 ] in
+  let merged' = merge [ r2; r1 ] in
   Alcotest.(check string)
     "commutative"
     (Stats.Json.to_string (Obsv.Metrics.to_json merged))

@@ -1,5 +1,5 @@
 (* Tests for the extension layer: message traces, the private-coin
-   compilation, the entropy-coded baseline, and windowed stream rarity. *)
+   compilation and the entropy-coded baseline. *)
 
 open Intersect
 
@@ -175,44 +175,6 @@ let test_entropy_beats_gaps_protocol () =
   check_bool
     (Printf.sprintf "entropy %d <= gaps %d" entropy_bits gaps_bits)
     true (entropy_bits <= gaps_bits)
-
-(* ---------- Stream rarity ---------- *)
-
-let test_stream_rarity_known_windows () =
-  (* Construct streams whose first window shares exactly half its
-     elements. *)
-  let left = Array.init 32 (fun i -> i) in
-  let right = Array.init 32 (fun i -> if i < 16 then i else 1000 + i) in
-  let result =
-    Apps.Stream_rarity.run (Prng.Rng.of_int 1) ~universe:10_000 ~window:32 ~stride:32 left right
-  in
-  match result.Apps.Stream_rarity.steps with
-  | [ step ] ->
-      (* union = 48, intersection = 16 *)
-      Alcotest.(check (float 1e-9)) "rarity2" (16.0 /. 48.0) step.Apps.Stream_rarity.rarity2;
-      Alcotest.(check (float 1e-9)) "rarity1" (32.0 /. 48.0) step.Apps.Stream_rarity.rarity1;
-      check "position" 0 step.Apps.Stream_rarity.position
-  | steps -> Alcotest.failf "expected one step, got %d" (List.length steps)
-
-let test_stream_rarity_sliding () =
-  let n = 100 in
-  let left = Array.init n (fun i -> i mod 37) in
-  let right = Array.init n (fun i -> (i + 5) mod 37) in
-  let result = Apps.Stream_rarity.run (Prng.Rng.of_int 2) ~universe:1000 ~window:20 left right in
-  let steps = result.Apps.Stream_rarity.steps in
-  check "step count" (((n - 20) / 10) + 1) (List.length steps);
-  List.iter
-    (fun (step : Apps.Stream_rarity.step) ->
-      check_bool "rarities sum to 1" true
-        (abs_float (step.Apps.Stream_rarity.rarity1 +. step.Apps.Stream_rarity.rarity2 -. 1.0)
-        < 1e-9))
-    steps;
-  check_bool "cost accumulated" true (result.Apps.Stream_rarity.cost.Commsim.Cost.total_bits > 0)
-
-let test_stream_rarity_validation () =
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Stream_rarity.run: stream lengths")
-    (fun () ->
-      ignore (Apps.Stream_rarity.run (Prng.Rng.of_int 1) ~universe:10 ~window:2 [| 1 |] [| 1; 2 |]))
 
 (* ---------- Sketch (bottom-k / min-wise) ---------- *)
 
@@ -476,12 +438,6 @@ let () =
         [
           Alcotest.test_case "exact" `Quick test_entropy_protocol_exact;
           Alcotest.test_case "beats gaps" `Quick test_entropy_beats_gaps_protocol;
-        ] );
-      ( "stream_rarity",
-        [
-          Alcotest.test_case "known windows" `Quick test_stream_rarity_known_windows;
-          Alcotest.test_case "sliding" `Quick test_stream_rarity_sliding;
-          Alcotest.test_case "validation" `Quick test_stream_rarity_validation;
         ] );
       ( "sketch",
         [

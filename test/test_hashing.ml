@@ -80,14 +80,6 @@ let test_next_prime () =
   check "from prime" 97 (Prime.next_prime 97);
   check "from 2" 2 (Prime.next_prime 2)
 
-let test_random_prime () =
-  let rng = Prng.Rng.of_int 17 in
-  for _ = 1 to 200 do
-    let p = Prime.random_prime rng ~below:10_000 in
-    if not (Prime.is_prime p) then Alcotest.failf "not prime: %d" p;
-    if p >= 10_000 then Alcotest.failf "too large: %d" p
-  done
-
 (* ---------- Carter–Wegman ---------- *)
 
 (* Whether two distinct elements of [s] land on the same hash value. *)
@@ -167,7 +159,6 @@ let () =
           Alcotest.test_case "sieve agreement" `Quick test_prime_sieve_agreement;
           Alcotest.test_case "large primes" `Quick test_large_primes;
           Alcotest.test_case "next_prime" `Quick test_next_prime;
-          Alcotest.test_case "random_prime" `Quick test_random_prime;
         ] );
       ( "families",
         [

@@ -346,7 +346,154 @@ let test_golden_export () =
   (* Export is a pure function: two loads produce identical bytes. *)
   check_string "two-run byte identity" (R.export (load_repo ())) (R.export registry);
   check_bool "export passes its schema mode" true
-    (Workload.Schemas.check ~mode:"experiments" (R.export registry) = Ok ())
+    (Result.bind (Stats.Json.of_string (R.export registry))
+       (Workload.Schemas.check ~mode:"experiments")
+    = Ok ())
+
+(* ---------- bench schemas re-derive their verdicts ---------- *)
+
+module J = Stats.Json
+
+(* The committed artifact, which must pass its mode unmutated — the
+   control that keeps every rejection below from being vacuous. *)
+let load_artifact ~mode file =
+  match J.of_string (In_channel.with_open_bin ("../" ^ file) In_channel.input_all) with
+  | Error msg -> Alcotest.failf "%s: %s" file msg
+  | Ok doc -> (
+      match Workload.Schemas.check ~mode doc with
+      | Ok () -> doc
+      | Error msg -> Alcotest.failf "committed %s rejected: %s" file msg)
+
+(* [set key f obj] replaces field [key] of [obj] by [f] of its value; the
+   field must exist, so a renamed field fails the test instead of turning
+   a mutation into a no-op. *)
+let set key f = function
+  | J.Obj fields when List.mem_assoc key fields ->
+      J.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | v -> Alcotest.failf "no field %S in %s" key (J.to_string v)
+
+let at_cell i f =
+  set "cells" (function
+    | J.List cells -> J.List (List.mapi (fun j c -> if j = i then f c else c) cells)
+    | v -> v)
+
+let cell_count doc =
+  match Option.bind (J.member "cells" doc) J.to_list_opt with
+  | Some cells -> List.length cells
+  | None -> Alcotest.fail "no cells"
+
+let mutate = function
+  | J.Bool b -> J.Bool (not b)
+  | J.Int i -> J.Int (i + 1)
+  | J.Float f -> J.Float ((f *. 2.0) +. 1e-3)
+  | J.Null -> J.Int 1
+  | v -> Alcotest.failf "no mutation for %s" (J.to_string v)
+
+let check_rejects ~mode what doc =
+  match Workload.Schemas.check ~mode doc with
+  | Error _ -> ()
+  | Ok () -> Alcotest.failf "%s accepted with %s" mode what
+
+let test_sweep_derived_fields () =
+  let doc = load_artifact ~mode:"bench-sweep" "BENCH_sweep.json" in
+  for i = 0 to cell_count doc - 1 do
+    List.iter
+      (fun field ->
+        check_rejects ~mode:"bench-sweep"
+          (Printf.sprintf "cells[%d].%s mutated" i field)
+          (at_cell i (set field mutate) doc))
+      [
+        "error_limit"; "error_lower95"; "error_upper95"; "error_ok"; "rounds_limit";
+        "rounds_ok"; "bits_limit"; "bits_ok"; "pass";
+      ]
+  done;
+  List.iter
+    (fun field ->
+      check_rejects ~mode:"bench-sweep" (field ^ " mutated") (set field mutate doc))
+    [ "total_trials"; "pass" ]
+
+(* Raw counts far outside every envelope, with every stored verdict left
+   green: the recomputed Wilson bound and round gate must catch it. *)
+let test_sweep_inflated_counts () =
+  let doc = load_artifact ~mode:"bench-sweep" "BENCH_sweep.json" in
+  let bucket_256 =
+    match Option.bind (J.member "cells" doc) J.to_list_opt with
+    | Some cells ->
+        List.find_index
+          (fun c ->
+            J.member "protocol" c = Some (J.Str "bucket")
+            && J.member "k" c = Some (J.Int 256)
+            && J.member "kind" c = Some (J.Str "clean"))
+          cells
+    | None -> None
+  in
+  match bucket_256 with
+  | None -> Alcotest.fail "no clean bucket k=256 cell"
+  | Some i ->
+      check_rejects ~mode:"bench-sweep" "bucket k=256 failures/rounds inflated"
+        (at_cell i
+           (fun c ->
+             set "failures" (fun _ -> J.Int 60_000) c |> set "rounds_max" (fun _ -> J.Int 100_000))
+           doc)
+
+let test_telemetry_derived_fields () =
+  let doc = load_artifact ~mode:"bench-telemetry" "BENCH_telemetry.json" in
+  check_rejects ~mode:"bench-telemetry" "ratio mutated" (set "ratio" mutate doc);
+  check_rejects ~mode:"bench-telemetry" "deterministic_match mutated"
+    (set "deterministic_match" mutate doc);
+  let off_ns =
+    Option.bind (J.member "off" doc) (J.member "ns_per_session")
+    |> Fun.flip Option.bind J.to_float_opt |> Option.get
+  in
+  check_rejects ~mode:"bench-telemetry" "on.ns_per_session 5x off, ratio kept"
+    (set "on" (set "ns_per_session" (fun _ -> J.Float (5.0 *. off_ns))) doc)
+
+(* Whatever the timings, a written telemetry report passes its own
+   check: the stored ratio is derived from the timings as the file prints
+   them, ratios within 1e-9 of 1 included. *)
+let prop_telemetry_report_rechecks =
+  QCheck.Test.make ~name:"written telemetry report passes bench-telemetry" ~count:1000
+    QCheck.(
+      pair (float_range 1e3 1e9)
+        (oneof [ float_range 0.5 1.2; float_range (1.0 -. 1e-9) (1.0 +. 1e-9) ]))
+    (fun (off_ns, factor) ->
+      let pass ns = { Workload.Telemetry.ns_per_session = ns; spent_bits = 4096; completed = 24 } in
+      let report =
+        Workload.Telemetry.overhead_of_passes Workload.Telemetry.overhead_default
+          ~off:(pass off_ns) ~on_:(pass (off_ns *. factor))
+      in
+      match
+        Result.bind
+          (J.of_string (J.to_string_pretty (Workload.Telemetry.overhead_json report)))
+          (Workload.Schemas.check ~mode:"bench-telemetry")
+      with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+let test_chaos_invariants () =
+  let doc = load_artifact ~mode:"bench-chaos" "BENCH_chaos.json" in
+  for i = 0 to cell_count doc - 1 do
+    check_rejects ~mode:"bench-chaos"
+      (Printf.sprintf "cells[%d].wrong = 1" i)
+      (at_cell i (set "wrong" (fun _ -> J.Int 1)) doc);
+    check_rejects ~mode:"bench-chaos"
+      (Printf.sprintf "cells[%d].resumed_identical <> resumed" i)
+      (at_cell i (set "resumed_identical" mutate) doc)
+  done
+
+(* A baseline missing one cell's timing is refused as a whole, so no
+   cell's timing gate can switch off silently. *)
+let test_hotpath_truncated_baseline () =
+  let doc =
+    at_cell 3
+      (function J.Obj fields -> J.Obj (List.remove_assoc "ns_per_run" fields) | v -> v)
+      (load_artifact ~mode:"bench-hotpath" "BENCH_hotpath.json")
+  in
+  check_rejects ~mode:"bench-hotpath" "cells[3].ns_per_run removed" doc;
+  match Workload.Regress.of_json doc with
+  | Error msg ->
+      check_string "names the cell and field" "cells[3]: missing or mistyped \"ns_per_run\"" msg
+  | Ok _ -> Alcotest.fail "truncated baseline decoded"
 
 let () =
   Alcotest.run "registry"
@@ -385,5 +532,14 @@ let () =
         [
           Alcotest.test_case "verifies clean" `Quick test_repo_verifies;
           Alcotest.test_case "golden export" `Quick test_golden_export;
+        ] );
+      ( "schemas",
+        [
+          Alcotest.test_case "sweep derived fields" `Quick test_sweep_derived_fields;
+          Alcotest.test_case "sweep inflated counts" `Quick test_sweep_inflated_counts;
+          Alcotest.test_case "telemetry derived fields" `Quick test_telemetry_derived_fields;
+          QCheck_alcotest.to_alcotest prop_telemetry_report_rechecks;
+          Alcotest.test_case "chaos invariants" `Quick test_chaos_invariants;
+          Alcotest.test_case "hotpath truncated baseline" `Quick test_hotpath_truncated_baseline;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Fleet telemetry: the quantile sketch's bucket scheme and merge laws
    (byte-identical JSON under any merge grouping — the property the
-   Engine.Merge reduction tree relies on), the flight recorder's ring
+   engine's per-chunk fold relies on), the flight recorder's ring
    bound and disabled fast path, snapshot rate arithmetic, SLO
    evaluation, and the end-to-end guarantee that a chaos campaign's
    telemetry stream is byte-identical across domain counts. *)

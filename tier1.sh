@@ -62,15 +62,18 @@ dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --telemetry "$tmp/soa
 dune exec bin/intersect_cli.exe -- soak --smoke --trials 8 --telemetry "$tmp/soak_tel_d2" --domains 2 > /dev/null
 cmp "$tmp/soak_tel_d1" "$tmp/soak_tel_d2"
 
-# Chaos campaign smoke: the committed BENCH_chaos.json must be
-# schema-valid (outcome taxonomy partitions the trials, zero wrong
-# intersections, every resume replayed identically), a seconds-scale
-# campaign must uphold the same invariant live (chaos exits non-zero on
-# any violation), two runs of the same campaign must emit byte-identical
-# reports, and the reproduce command the report embeds must run verbatim
-# and regenerate it byte for byte.
+# Chaos campaign smoke: the committed BENCH_chaos.json must pass its
+# schema, which re-checks the chaos invariant on the decoded cells
+# (outcome taxonomy partitions the trials, zero wrong intersections,
+# every resume replayed identically), a seconds-scale campaign must
+# uphold the same invariant live (chaos exits non-zero on any violation)
+# and its fresh report must read back through the same check, two runs
+# of the same campaign must emit byte-identical reports, and the
+# reproduce command the report embeds must run verbatim and regenerate
+# it byte for byte.
 "$cli" check bench-chaos < BENCH_chaos.json
 dune exec bin/intersect_cli.exe -- chaos --smoke --json > "$tmp/chaos_a"
+"$cli" check bench-chaos < "$tmp/chaos_a"
 dune exec bin/intersect_cli.exe -- chaos --smoke --json --domains 2 > "$tmp/chaos_b"
 cmp "$tmp/chaos_a" "$tmp/chaos_b"
 reproduce=$(sed -n 's/^  "reproduce": "\(.*\)",$/\1/p' "$tmp/chaos_a")
@@ -79,20 +82,24 @@ $reproduce --json > "$tmp/chaos_b"
 cmp "$tmp/chaos_a" "$tmp/chaos_b"
 
 # Hot-path regression smoke: the committed BENCH_hotpath.json must be
-# schema-valid, the k=64 sweep must reproduce its deterministic fields
+# schema-valid, a fresh smoke report must read back through the same
+# decoder, the k=64 sweep must reproduce its deterministic fields
 # (bits / messages / rounds) exactly — timings get a generous 4x headroom
 # so shared CI machines don't flake — and two runs of the same config must
 # emit byte-identical deterministic reports.
 "$cli" check bench-hotpath < BENCH_hotpath.json
+dune exec bin/intersect_cli.exe -- bench-regress --smoke --json > "$tmp/hot_a"
+"$cli" check bench-hotpath < "$tmp/hot_a"
 dune exec bin/intersect_cli.exe -- bench-regress --smoke --trials 3 --baseline BENCH_hotpath.json --tolerance 3.0 > /dev/null
 dune exec bin/intersect_cli.exe -- bench-regress --smoke --deterministic-json > "$tmp/det_a"
 dune exec bin/intersect_cli.exe -- bench-regress --smoke --deterministic-json > "$tmp/det_b"
 cmp "$tmp/det_a" "$tmp/det_b"
 
-# Mega-sweep smoke: the committed BENCH_sweep.json must be schema-valid
-# (Wilson bounds ordered, per-cell gate conjunction, trial counts summing
-# to total_trials), a seconds-scale smoke matrix must pass its envelopes
-# live (sweep exits non-zero on any violating cell), the report must
+# Mega-sweep smoke: the committed BENCH_sweep.json must pass its schema,
+# which recomputes every derived field from the raw counts (Wilson
+# bounds, limits, gate booleans, pass, total_trials), a seconds-scale
+# smoke matrix must pass its envelopes live (sweep exits non-zero on any
+# violating cell) and read back through the same check, the report must
 # be byte-identical at 1 and 2 worker domains (and so must its telemetry
 # stream), and the bucket k=1024 hot path must not allocate more per trial
 # than the committed seed baseline.
@@ -107,7 +114,8 @@ cmp "$tmp/sweep_tel_d1" "$tmp/sweep_tel_d2"
 dune exec bench/main.exe -- --alloc-gate
 
 # Fleet telemetry smoke: the committed BENCH_telemetry.json must be
-# schema-valid (including the 1.25x enabled/disabled overhead bound), a
+# schema-valid (ratio and deterministic_match recomputed from the two
+# passes, and the 1.25x enabled/disabled overhead bound), a
 # live seconds-scale overhead run must keep its deterministic fields
 # identical between the passes (generous 3x timing headroom for shared CI
 # machines), the chaos telemetry stream must be byte-identical run-to-run
