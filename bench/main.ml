@@ -14,8 +14,9 @@
      --engine-scaling  only the trial-engine throughput measurement
                        (writes BENCH_engine_scaling.json)
      --alloc-gate      only the allocations-per-trial regression gate
-                       (exit 1 if the bucket k=1024 hot path allocates
-                       more per trial than the committed baseline) *)
+                       (exit 1 if the bucket k=1024 or the tree r=2
+                       k=4096 hot path allocates more per trial than
+                       its committed baseline) *)
 
 let run quick only no_micro micro_only trace_overhead engine_scaling alloc_gate =
   if trace_overhead then begin
@@ -79,8 +80,9 @@ let alloc_gate =
     value & flag
     & info [ "alloc-gate" ]
         ~doc:
-          "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 hot \
-           path allocates more bytes per trial than the committed baseline.")
+          "Run only the allocations-per-trial regression gate: exit 1 if the bucket k=1024 or \
+           the tree r=2 k=4096 hot path allocates more bytes per trial than its committed \
+           baseline.")
 
 let cmd =
   let doc = "Regenerate the experiment tables of the PODC'14 set-intersection reproduction." in

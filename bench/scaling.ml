@@ -16,7 +16,8 @@
    - [alloc]: the allocations-per-trial probe on the bucket hot path
      (k = 1024, sequential): bytes/trial and major collections/trial
      against the committed baseline, with their ratio.  [alloc_gate]
-     exits non-zero if bytes/trial regresses past the baseline.
+     exits non-zero if bytes/trial regresses past the baseline, on this
+     probe or on the same probe of the tree protocol (r = 2, k = 4096).
 
    The JSON records [cores] (Domain.recommended_domain_count) because
    speedup is bounded by the cores actually available: on a single-core
@@ -74,7 +75,7 @@ let time_grid ~domains =
     majors = s1.Gc.major_collections - s0.Gc.major_collections;
   }
 
-(* ---------- allocations-per-trial probe (bucket k = 1024) ---------- *)
+(* ---------- allocations-per-trial probes ---------- *)
 
 (* Gate baseline for bytes/trial of the full bucket trial: this probe
    (20 trials, warm pools) measured 1,235,799 bytes once the
@@ -86,6 +87,15 @@ let time_grid ~domains =
 let alloc_baseline_bytes = 1_297_000.0
 
 let alloc_k = 1024
+
+(* Gate baseline for the tree probe (r = 2, k = 4096): this probe
+   (20 trials, warm pools, input generation included) measured 1,499,524
+   bytes/trial once the tree's tag derivation, tag sets and gap coding
+   went allocation-free, against 15,756,667 before; plus under 5%
+   headroom. *)
+let tree_alloc_baseline_bytes = 1_574_000.0
+
+let tree_alloc_k = 4096
 let alloc_trials = 20
 
 type alloc_measure = {
@@ -94,13 +104,10 @@ type alloc_measure = {
   reduction : float;  (* baseline / measured *)
 }
 
-let alloc_probe () =
+let measure_alloc ~protocol ~k ~label ~baseline =
   let universe = 1 lsl universe_bits in
-  let protocol = Bucket_protocol.protocol ~k:alloc_k () in
-  let stream = Engine.Seed_stream.create ~base:seed ~label:"bench/scaling/alloc" in
-  let run_trial i =
-    ignore (Sys.opaque_identity (trial_of ~protocol ~stream ~universe ~k:alloc_k i))
-  in
+  let stream = Engine.Seed_stream.create ~base:seed ~label in
+  let run_trial i = ignore (Sys.opaque_identity (trial_of ~protocol ~stream ~universe ~k i)) in
   (* Warm-up: codec caches and bitio arenas populate on first use. *)
   for i = 0 to 2 do
     run_trial i
@@ -118,8 +125,16 @@ let alloc_probe () =
     alloc_majors_per_trial =
       float_of_int (s1.Gc.major_collections - s0.Gc.major_collections)
       /. float_of_int alloc_trials;
-    reduction = (if bytes > 0.0 then alloc_baseline_bytes /. bytes else Float.infinity);
+    reduction = (if bytes > 0.0 then baseline /. bytes else Float.infinity);
   }
+
+let alloc_probe () =
+  measure_alloc ~protocol:(Bucket_protocol.protocol ~k:alloc_k ()) ~k:alloc_k
+    ~label:"bench/scaling/alloc" ~baseline:alloc_baseline_bytes
+
+let tree_alloc_probe () =
+  measure_alloc ~protocol:(Tree_protocol.protocol ~r:2 ~k:tree_alloc_k ()) ~k:tree_alloc_k
+    ~label:"bench/scaling/alloc-tree" ~baseline:tree_alloc_baseline_bytes
 
 let alloc_json (a : alloc_measure) =
   Stats.Json.Obj
@@ -134,17 +149,22 @@ let alloc_json (a : alloc_measure) =
     ]
 
 (* Tier1's allocation-regression gate: fail any build whose bucket
-   k=1024 hot path allocates more per trial than the baseline. *)
+   k=1024 or tree r=2 k=4096 hot path allocates more per trial than its
+   baseline. *)
 let alloc_gate () =
-  let a = alloc_probe () in
-  Printf.printf "alloc gate: bucket k=%d  %.0f bytes/trial (baseline %.0f, %.2fx under it)\n"
-    alloc_k a.alloc_bytes_per_trial alloc_baseline_bytes a.reduction;
-  if a.alloc_bytes_per_trial <= alloc_baseline_bytes then 0
-  else begin
-    Printf.eprintf "alloc gate: REGRESSION — %.0f bytes/trial exceeds the baseline %.0f\n"
-      a.alloc_bytes_per_trial alloc_baseline_bytes;
-    1
-  end
+  let check name k baseline (a : alloc_measure) =
+    Printf.printf "alloc gate: %s k=%d  %.0f bytes/trial (baseline %.0f, %.2fx under it)\n" name k
+      a.alloc_bytes_per_trial baseline a.reduction;
+    a.alloc_bytes_per_trial <= baseline
+    || begin
+      Printf.eprintf "alloc gate: REGRESSION — %s %.0f bytes/trial exceeds the baseline %.0f\n" name
+        a.alloc_bytes_per_trial baseline;
+      false
+    end
+  in
+  let bucket = check "bucket" alloc_k alloc_baseline_bytes (alloc_probe ()) in
+  let tree = check "tree r=2" tree_alloc_k tree_alloc_baseline_bytes (tree_alloc_probe ()) in
+  if bucket && tree then 0 else 1
 
 let run ?(out = "BENCH_engine_scaling.json") () =
   let cores = Domain.recommended_domain_count () in

@@ -45,12 +45,7 @@ let sync_party role rng ~universe ~batch state update chan =
   let fn =
     Strhash.create (Prng.Rng.with_label rng (Printf.sprintf "inc/batch%d" batch)) ~bits
   in
-  let tag_key x = Bitio.Bits.key (Strhash.apply_int fn x) in
-  let my_tags =
-    let table = Hashtbl.create (Iset.cardinal new_current) in
-    Array.iter (fun x -> Hashtbl.replace table (tag_key x) ()) new_current;
-    table
-  in
+  let my_tags = Basic_intersection.tags_of_set fn new_current in
   let delta_message () =
     let buf = Bitio.Bitbuf.create () in
     Bitio.Codes.write_gamma buf (Iset.cardinal update.deletes);
@@ -59,48 +54,42 @@ let sync_party role rng ~universe ~batch state update chan =
     Basic_intersection.write_tags buf fn update.inserts;
     Bitio.Bitbuf.contents buf
   in
-  (* [their_insert_keys] keeps arrival order for the bitmap reply. *)
+  (* Their inserts as a tag set, plus, in arrival order, which of them
+     this side holds: the bitmap reply. *)
   let parse_deltas reader =
     let deletes = Basic_intersection.read_tag_keys reader ~bits ~count:(Bitio.Codes.read_gamma reader) in
-    let insert_count = Bitio.Codes.read_gamma reader in
-    let insert_keys =
-      Array.init insert_count (fun _ ->
-          Bitio.Bits.key (Bitio.Bitreader.read_blob reader ~bits))
+    let inserts, held =
+      Basic_intersection.read_members my_tags reader ~count:(Bitio.Codes.read_gamma reader)
     in
-    (deletes, insert_keys)
+    (deletes, inserts, held)
   in
-  let membership_bitmap insert_keys =
-    Wire.bitmap_msg (Array.map (fun key -> Hashtbl.mem my_tags key) insert_keys)
-  in
-  let their_deletes, their_insert_keys, my_insert_bitmap =
+  let their_deletes, their_inserts, my_insert_bitmap =
     match role with
     | `Alice ->
         Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (delta_message ()));
         let reader = Bitio.Bitreader.create (chan.recv ()) in
-        let deletes, insert_keys = parse_deltas reader in
+        let deletes, inserts, held = parse_deltas reader in
         let bitmap =
           Array.init (Iset.cardinal update.inserts) (fun _ -> Bitio.Bitreader.read_bit reader)
         in
-        Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (membership_bitmap insert_keys));
-        (deletes, insert_keys, bitmap)
+        Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (Wire.bitmap_msg held));
+        (deletes, inserts, bitmap)
     | `Bob ->
         let reader = Bitio.Bitreader.create (chan.recv ()) in
-        let deletes, insert_keys = parse_deltas reader in
+        let deletes, inserts, held = parse_deltas reader in
         let buf = Bitio.Bitbuf.create () in
         Bitio.Bitbuf.append buf (delta_message ());
-        Bitio.Bitbuf.append buf (membership_bitmap insert_keys);
+        Bitio.Bitbuf.append buf (Wire.bitmap_msg held);
         Obsv.Trace.span Obsv.Phases.app_sync (fun () -> chan.send (Bitio.Bitbuf.contents buf));
         let bitmap =
           Wire.read_bitmap_msg (chan.recv ()) ~width:(Iset.cardinal update.inserts)
         in
-        (deletes, insert_keys, bitmap)
+        (deletes, inserts, bitmap)
   in
-  let their_inserts = Hashtbl.create 16 in
-  Array.iter (fun key -> Hashtbl.replace their_inserts key ()) their_insert_keys;
   (* survivors: my own deletes leave exactly; their deletes leave by tag *)
   let survivors =
     Iset.filter
-      (fun x -> not (Hashtbl.mem their_deletes (tag_key x)))
+      (fun x -> not (Basic_intersection.mem_tag their_deletes fn x))
       (Iset.diff state.candidate update.deletes)
   in
   (* joiners: my elements matching their fresh inserts, plus my inserts the

@@ -116,6 +116,36 @@ let matches_value fn reader v =
 
 let matches fn reader payload = matches_value fn reader (fingerprint fn payload)
 
+(* Range forms for payloads that sit inside a larger buffer: the tag of
+   bits [pos .. pos + len - 1] of [payload] is the tag of that slice as a
+   bit string of its own.  The fold is [fingerprint]'s, with chunk
+   offsets taken from [pos]. *)
+let fingerprint_range fn payload ~pos ~len =
+  let acc = ref (reduce (len + 1)) in
+  let i = ref 0 in
+  while !i < len do
+    let chunk_len = Int.min 24 (len - !i) in
+    let chunk = Bitio.Bits.extract payload ~pos:(pos + !i) ~width:chunk_len in
+    acc := reduce (mul61 !acc fn.point + (chunk + 1));
+    i := !i + chunk_len
+  done;
+  !acc
+
+let write_range fn buf payload ~pos ~len = write_value fn buf (fingerprint_range fn payload ~pos ~len)
+
+let matches_range fn reader payload ~pos ~len =
+  matches_value fn reader (fingerprint_range fn payload ~pos ~len)
+
+(* Lane-level access for tag sets kept as ints: a tag of [bits] bits is
+   its lanes in order, lane [i] [lane_width_of ~bits i] bits wide. *)
+let lanes ~bits = lane_count bits
+
+let lane_width_of ~bits i = Int.min lane_width (bits - (i * lane_width))
+
+let int_lane fn i x =
+  if x < 0 || x lsr 60 <> 0 then invalid_arg "Strhash.int_lane: out of range";
+  lane_value fn i x
+
 let tag rng ~bits payload = apply (create rng ~bits) payload
 
 let tag_int rng ~bits x = apply_int (create rng ~bits) x

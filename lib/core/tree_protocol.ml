@@ -52,8 +52,106 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
   let bucket =
     Hashing.Carter_wegman.create (Prng.Rng.with_label rng "tree/bucket") ~universe ~range:leaves
   in
-  let assign = Iset.partition_by (Hashing.Carter_wegman.hash bucket) ~bins:leaves mine in
+  (* The leaf buckets ([Iset.partition_by]'s bins) in one flat array:
+     leaf [u] holds the elements [mine.(slot.(j))] for [j] in
+     [first.(u) .. first.(u) + live.(u) - 1], ascending.  A re-run drops
+     elements by compacting its leaf's slots in place, and the output is
+     [mine] filtered by the slots still live, so it needs no sort. *)
+  let n = Array.length mine in
+  let first = Array.make (leaves + 1) 0 and live = Array.make leaves 0 in
+  let slot = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let b = Hashing.Carter_wegman.hash bucket mine.(i) in
+    live.(b) <- live.(b) + 1
+  done;
+  for u = 0 to leaves - 1 do
+    first.(u + 1) <- first.(u) + live.(u)
+  done;
+  Array.fill live 0 leaves 0;
+  for i = 0 to n - 1 do
+    let b = Hashing.Carter_wegman.hash bucket mine.(i) in
+    slot.(first.(b) + live.(b)) <- i;
+    live.(b) <- live.(b) + 1
+  done;
+  (* Each stage gap-codes every leaf once into one buffer, leaf [u] at bit
+     [off.(u)], as [Set_codec.write_gaps] lays it out.  A node covers a
+     contiguous leaf range, so its payload (its leaves' codes, as
+     [Wire.of_sets] concatenates them) is the buffer range
+     [off.(first_leaf) .. off.(first_leaf + leaf_count) - 1]. *)
+  let off = Array.make (leaves + 1) 0 in
+  let with_codes f =
+    Bitio.Pool.with_buf (fun buf ->
+        for u = 0 to leaves - 1 do
+          off.(u) <- Bitio.Bitbuf.length buf;
+          let lo = first.(u) in
+          Bitio.Codes.write_gamma buf live.(u);
+          for j = lo to lo + live.(u) - 1 do
+            let x = mine.(slot.(j)) in
+            Bitio.Codes.write_delta buf (if j = lo then x else x - mine.(slot.(j - 1)) - 1)
+          done
+        done;
+        off.(leaves) <- Bitio.Bitbuf.length buf;
+        f (Bitio.Bitbuf.view buf))
+  in
+  let node_pos (node : Vtree.node) = off.(node.first_leaf) in
+  let node_len (node : Vtree.node) = off.(node.first_leaf + node.leaf_count) - node_pos node in
+  (* Tag functions: ["tree/eq/s<stage>/v<node>"] per node and
+     ["tree/bi/leaf<u>/run<rerun.(u)>"] per re-run leaf.  The labels are
+     folded incrementally ([Rng.Label], bit-identical to hashing the whole
+     string), each prefix once, and every function is redrawn in place
+     into one scratch generator and one scratch [Strhash.fn]; the leaf
+     tag sets reuse one scratch too.  The scratch lives in this call, so
+     concurrent runs on other domains share none of it. *)
+  let root = Prng.Rng.Label.start rng in
+  let eq_prefix = Prng.Rng.Label.start rng and work = Prng.Rng.Label.start rng in
+  let leaf_prefix = Prng.Rng.Label.start rng in
+  Prng.Rng.Label.add leaf_prefix "tree/bi/leaf";
+  let gen = Prng.Rng.of_int 0 in
+  let fn = Strhash.create gen ~bits:1 in
+  let tags = Basic_intersection.tags_create () in
   let rerun = Array.make leaves 0 in
+  let redraw_node vi ~bits =
+    Prng.Rng.Label.blit ~src:eq_prefix ~dst:work;
+    Prng.Rng.Label.add_int work vi;
+    Prng.Rng.Label.finish_into work gen;
+    Strhash.redraw fn gen ~bits
+  in
+  let redraw_leaf u ~bits =
+    Prng.Rng.Label.blit ~src:leaf_prefix ~dst:work;
+    Prng.Rng.Label.add_int work u;
+    Prng.Rng.Label.add work "/run";
+    Prng.Rng.Label.add_int work rerun.(u);
+    Prng.Rng.Label.finish_into work gen;
+    Strhash.redraw fn gen ~bits
+  in
+  let write_leaf_tags buf u =
+    for j = first.(u) to first.(u) + live.(u) - 1 do
+      Strhash.write_int fn buf mine.(slot.(j))
+    done
+  in
+  (* Keep leaf [u]'s elements whose tag is in [tags]. *)
+  let filter_leaf u =
+    let lo = first.(u) in
+    let w = ref lo in
+    for j = lo to lo + live.(u) - 1 do
+      if Basic_intersection.mem_tag tags fn mine.(slot.(j)) then begin
+        slot.(!w) <- slot.(j);
+        incr w
+      end
+    done;
+    live.(u) <- !w - lo
+  in
+  (* The leaves below this stage's failed nodes, in node order, and the
+     other side's bucket size for each (Alice reads Bob's; Bob's copy is
+     read from Alice's re-run message). *)
+  let failed = Array.make leaves 0 and their = Array.make leaves 0 in
+  let n_failed = ref 0 in
+  let add_failed (node : Vtree.node) =
+    for u = node.first_leaf to node.first_leaf + node.leaf_count - 1 do
+      failed.(!n_failed) <- u;
+      incr n_failed
+    done
+  in
   try
     for stage = 0 to r - 1 do
       check_budget ();
@@ -61,126 +159,111 @@ let run_party ?buckets ?flat_eq_bits ?budget role rng ~universe ~r ~k chan mine 
     let eq_bits = match flat_eq_bits with Some b -> max 2 b | None -> stage_eq_bits fl in
     let failure = stage_failure fl in
     let nodes = tree.Vtree.levels.(stage) in
-    let node_fn vi =
-      let label = "tree/eq/s" ^ string_of_int stage ^ "/v" ^ string_of_int vi in
-      Strhash.create (Prng.Rng.with_label rng label) ~bits:eq_bits
-    in
-    (* The node's payload (its leaves' gap-coded buckets, as Wire.of_sets
-       laid them out) is assembled in a scratch writer and hashed through
-       the zero-copy view; only the eq_bits-wide tag reaches the wire. *)
-    let with_node_payload node f =
-      Bitio.Pool.with_buf (fun tmp ->
-          List.iter (fun u -> Bitio.Set_codec.write_gaps tmp assign.(u)) (Vtree.leaves node);
-          f (Bitio.Bitbuf.view tmp))
-    in
+    Prng.Rng.Label.blit ~src:root ~dst:eq_prefix;
+    Prng.Rng.Label.add eq_prefix "tree/eq/s";
+    Prng.Rng.Label.add_int eq_prefix stage;
+    Prng.Rng.Label.add eq_prefix "/v";
     (* Stage messages 1-2: batched equality tests at level L_stage.  Bob
        replies with the failed-node bitmap plus his bucket sizes under the
        failed nodes (needed to parameterize the re-runs). *)
     Obsv.Metrics.record "tree/eq_bits" eq_bits;
-    let failed_leaves, their_sizes =
-      Obsv.Trace.span Obsv.Phases.tree_eq
-        ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]
-        (fun () ->
-          match role with
-          | `Alice ->
-          chan.send
-            (Bitio.Pool.payload (fun buf ->
-                 Array.iteri
-                   (fun vi node ->
-                     with_node_payload node (fun payload ->
-                         Strhash.write (node_fn vi) buf payload))
-                   nodes));
-          let reader = Bitio.Bitreader.create (chan.recv ()) in
-          let failed =
-            Array.init (Array.length nodes) (fun _ -> Bitio.Bitreader.read_bit reader)
-          in
-          let failed_leaves =
-            Array.to_list nodes
-            |> List.mapi (fun vi node -> if failed.(vi) then Vtree.leaves node else [])
-            |> List.concat
-          in
-          let their_sizes = List.map (fun _ -> Bitio.Codes.read_gamma reader) failed_leaves in
-          (failed_leaves, their_sizes)
-      | `Bob ->
-          let reader = Bitio.Bitreader.create (chan.recv ()) in
-          let failed =
-            Array.mapi
-              (fun vi node ->
-                with_node_payload node (fun payload ->
-                    not (Strhash.matches (node_fn vi) reader payload)))
-              nodes
-          in
-          let failed_leaves =
-            Array.to_list nodes
-            |> List.mapi (fun vi node -> if failed.(vi) then Vtree.leaves node else [])
-            |> List.concat
-          in
-          chan.send
-            (Bitio.Pool.payload (fun buf ->
-                 Array.iter (Bitio.Bitbuf.write_bit buf) failed;
-                 List.iter
-                   (fun u -> Bitio.Codes.write_gamma buf (Array.length assign.(u)))
-                   failed_leaves));
-          (failed_leaves, List.map (fun u -> Array.length assign.(u)) failed_leaves))
-    in
+    n_failed := 0;
+    Obsv.Trace.span Obsv.Phases.tree_eq
+      ~attrs:[ ("stage", string_of_int stage); ("eq_bits", string_of_int eq_bits) ]
+      (fun () ->
+        match role with
+        | `Alice ->
+            chan.send
+              (with_codes (fun codes ->
+                   Bitio.Pool.payload (fun buf ->
+                       Array.iteri
+                         (fun vi node ->
+                           redraw_node vi ~bits:eq_bits;
+                           Strhash.write_range fn buf codes ~pos:(node_pos node) ~len:(node_len node))
+                         nodes)));
+            let reader = Bitio.Bitreader.create (chan.recv ()) in
+            Array.iter (fun node -> if Bitio.Bitreader.read_bit reader then add_failed node) nodes;
+            for i = 0 to !n_failed - 1 do
+              their.(i) <- Bitio.Codes.read_gamma reader
+            done
+        | `Bob ->
+            let reader = Bitio.Bitreader.create (chan.recv ()) in
+            chan.send
+              (with_codes (fun codes ->
+                   Bitio.Pool.payload (fun buf ->
+                       Array.iteri
+                         (fun vi node ->
+                           redraw_node vi ~bits:eq_bits;
+                           let ok =
+                             Strhash.matches_range fn reader codes ~pos:(node_pos node)
+                               ~len:(node_len node)
+                           in
+                           Bitio.Bitbuf.write_bit buf (not ok);
+                           if not ok then add_failed node)
+                         nodes;
+                       for i = 0 to !n_failed - 1 do
+                         Bitio.Codes.write_gamma buf live.(failed.(i))
+                       done))));
     (* Stage messages 3-4: batched Basic-Intersection re-runs on every leaf
        below a failed node (Lemma 3.3, with this stage's error target).
        Alice ships her sizes and element tags; Bob filters his buckets,
        ships his own tags of the pre-filter buckets; Alice filters hers. *)
-    if failed_leaves <> [] then begin
-      Obsv.Metrics.incr ~by:(List.length failed_leaves) "tree/failed_leaves";
-      let leaf_fn u m =
-        let label = "tree/bi/leaf" ^ string_of_int u ^ "/run" ^ string_of_int rerun.(u) in
-        let bits = Basic_intersection.tag_bits ~m ~failure in
-        Strhash.create (Prng.Rng.with_label rng label) ~bits
-      in
+    if !n_failed > 0 then begin
+      Obsv.Metrics.incr ~by:!n_failed "tree/failed_leaves";
+      let leaf_bits u their_size = Basic_intersection.tag_bits ~m:(live.(u) + their_size) ~failure in
       Obsv.Trace.span Obsv.Phases.tree_rerun ~attrs:[ ("stage", string_of_int stage) ] (fun () ->
       match role with
       | `Alice ->
-          let sizes = List.combine failed_leaves their_sizes in
-          let msg, fns =
-            Bitio.Pool.with_buf (fun buf ->
-                let fns =
-                  List.map
-                    (fun (u, their_size) ->
-                      let m = Array.length assign.(u) + their_size in
-                      let fn = leaf_fn u m in
-                      Bitio.Codes.write_gamma buf (Array.length assign.(u));
-                      Basic_intersection.write_tags buf fn assign.(u);
-                      (u, their_size, fn))
-                    sizes
-                in
-                (Bitio.Bitbuf.contents buf, fns))
-          in
-          chan.send msg;
+          chan.send
+            (Bitio.Pool.payload (fun buf ->
+                 for i = 0 to !n_failed - 1 do
+                   let u = failed.(i) in
+                   redraw_leaf u ~bits:(leaf_bits u their.(i));
+                   Bitio.Codes.write_gamma buf live.(u);
+                   write_leaf_tags buf u
+                 done));
           let reader = Bitio.Bitreader.create (chan.recv ()) in
-          List.iter
-            (fun (u, their_size, fn) ->
-              let table =
-                Basic_intersection.read_tag_keys reader ~bits:(Strhash.bits fn) ~count:their_size
-              in
-              assign.(u) <- Basic_intersection.filter_by_tags fn table assign.(u))
-            fns
+          for i = 0 to !n_failed - 1 do
+            let u = failed.(i) in
+            let bits = leaf_bits u their.(i) in
+            redraw_leaf u ~bits;
+            Basic_intersection.read_tags_into tags reader ~bits ~count:their.(i);
+            filter_leaf u
+          done
       | `Bob ->
           let reader = Bitio.Bitreader.create (chan.recv ()) in
           chan.send
             (Bitio.Pool.payload (fun buf ->
-                 List.iter
-                   (fun u ->
-                     let their_size = Bitio.Codes.read_gamma reader in
-                     let m = Array.length assign.(u) + their_size in
-                     let fn = leaf_fn u m in
-                     let table =
-                       Basic_intersection.read_tag_keys reader ~bits:(Strhash.bits fn)
-                         ~count:their_size
-                     in
-                     Basic_intersection.write_tags buf fn assign.(u);
-                     assign.(u) <- Basic_intersection.filter_by_tags fn table assign.(u))
-                   failed_leaves)));
-      List.iter (fun u -> rerun.(u) <- rerun.(u) + 1) failed_leaves
+                 for i = 0 to !n_failed - 1 do
+                   let u = failed.(i) in
+                   let their_size = Bitio.Codes.read_gamma reader in
+                   let bits = leaf_bits u their_size in
+                   redraw_leaf u ~bits;
+                   Basic_intersection.read_tags_into tags reader ~bits ~count:their_size;
+                   write_leaf_tags buf u;
+                   filter_leaf u
+                 done)));
+      for i = 0 to !n_failed - 1 do
+        rerun.(failed.(i)) <- rerun.(failed.(i)) + 1
+      done
     end
     done;
-    Iset.of_list (List.concat_map Array.to_list (Array.to_list assign))
+    (* The output: [mine] filtered by the slots still live, so sorted. *)
+    let keep = Bytes.make n '\000' and kept = ref 0 in
+    for u = 0 to leaves - 1 do
+      for j = first.(u) to first.(u) + live.(u) - 1 do
+        Bytes.set keep slot.(j) '\001'
+      done;
+      kept := !kept + live.(u)
+    done;
+    let out = Array.make !kept 0 and w = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get keep i = '\001' then begin
+        out.(!w) <- mine.(i);
+        incr w
+      end
+    done;
+    out
   with Over_budget ->
     (* stage boundaries are synchronized, so both parties land here with
        the channel quiescent *)

@@ -144,7 +144,7 @@ let test_union_edge_cases () =
   Alcotest.check iset "one empty diff" s r.Apps.Union.symmetric_difference
 
 let prop_union_ground_truth =
-  QCheck.Test.make ~name:"union/intersection/symdiff ground truth" ~count:100
+  QCheck.Test.make ~name:"union/inter/symdiff vs truth" ~count:100
     QCheck.(triple small_signed_int (list (int_bound 400)) (list (int_bound 400)))
     (fun (seed, ls, lt) ->
       let s = Iset.of_list ls and t = Iset.of_list lt in

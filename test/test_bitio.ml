@@ -268,7 +268,7 @@ let test_bignat_binomial () =
   check_bool "big binomial size" true (Bignat.bit_length big > 980 && Bignat.bit_length big < 1000)
 
 let prop_pascal =
-  QCheck.Test.make ~name:"Pascal identity C(n,k)=C(n-1,k-1)+C(n-1,k)" ~count:200
+  QCheck.Test.make ~name:"Pascal: C(n,k)=C(n-1,k-1)+C(n-1,k)" ~count:200
     QCheck.(pair (int_range 1 300) (int_range 0 300))
     (fun (n, k) ->
       Bignat.equal (Bignat.binomial n k)

@@ -209,7 +209,7 @@ let test_basic_disjoint_never_intersect () =
   done
 
 let prop_basic_sandwich =
-  QCheck.Test.make ~name:"basic-intersection sandwich invariant" ~count:150
+  QCheck.Test.make ~name:"basic sandwich invariant" ~count:150
     QCheck.(triple small_signed_int (list (int_bound 200)) (list (int_bound 200)))
     (fun (seed, ls, lt) ->
       let s = Iset.of_list ls and t = Iset.of_list lt in
@@ -267,7 +267,7 @@ let test_vtree_leaves () =
   Alcotest.(check (list int)) "leaves" [ 5; 6; 7 ] (Vtree.leaves node)
 
 let prop_vtree_partitions =
-  QCheck.Test.make ~name:"every vtree level partitions the leaves" ~count:150
+  QCheck.Test.make ~name:"levels partition the leaves" ~count:150
     QCheck.(pair (int_range 1 2000) (int_range 1 7))
     (fun (k, r) ->
       let tree = Vtree.build ~k ~r in

@@ -281,6 +281,109 @@ let prop_strhash_redraw_create =
           && draws g_in = draws g_ref)
         (strhash_widths @ [ 1; 97; 32; 49 ]))
 
+(* The range forms on a payload embedded between other bits must tag it
+   exactly as [write]/[matches] tag the payload on its own. *)
+let prop_strhash_range =
+  QCheck.Test.make ~name:"Strhash range forms = slice copied out" ~count:300
+    QCheck.(quad (int_range 1 130) int (int_range 0 40) small_string)
+    (fun (bits, seed, pre, text) ->
+      let payload = Bitio.Bits.of_string text in
+      let len = Bitio.Bits.length payload in
+      let fn = Strhash.create (Prng.Rng.of_int seed) ~bits in
+      let whole = Bitio.Bitbuf.create () in
+      Bitio.Bitbuf.write_bits whole ~width:pre ((1 lsl pre) - 1);
+      Bitio.Bitbuf.append whole payload;
+      Bitio.Bitbuf.write_bits whole ~width:7 0x55;
+      let view = Bitio.Bitbuf.view whole in
+      let tag = Strhash.apply fn payload in
+      let ranged = Bitio.Bitbuf.create () in
+      Strhash.write_range fn ranged view ~pos:pre ~len;
+      let matches t =
+        let reader = Bitio.Bitreader.create t in
+        let ok = Strhash.matches_range fn reader view ~pos:pre ~len in
+        (ok, Bitio.Bitreader.position reader)
+      in
+      Bitio.Bits.equal (Bitio.Bitbuf.contents ranged) tag
+      && matches tag = (true, bits)
+      && matches (Bitio.Bits.flip tag 0) = (false, bits))
+
+(* ---------- lane-int tag sets vs the Bits.key tables they replaced ---------- *)
+
+let tag_set_input =
+  QCheck.(
+    quad (int_range 1 130) int
+      (list_of_size Gen.(0 -- 200) (int_bound 600))
+      (list_of_size Gen.(0 -- 200) (int_bound 600)))
+
+(* [theirs]' tags as the other party writes them, then [near]'s tags
+   with their last bit flipped (equal to a real tag in every lane but the
+   last), then a marker so that where each reader stops is checked
+   too. *)
+let written_tags ?(near = [||]) fn theirs =
+  let buf = Bitio.Bitbuf.create () in
+  Basic_intersection.write_tags buf fn theirs;
+  Array.iter (fun x -> Bitio.Bitbuf.append buf (Bitio.Bits.flip (Strhash.apply_int fn x) (Strhash.bits fn - 1))) near;
+  Bitio.Bitbuf.write_bits buf ~width:5 21;
+  Bitio.Bitbuf.contents buf
+
+let key_table reader ~bits ~count =
+  let table = Hashtbl.create 16 in
+  let keys = Array.init count (fun _ -> Bitio.Bits.key (Bitio.Bitreader.read_blob reader ~bits)) in
+  Array.iter (fun key -> Hashtbl.replace table key ()) keys;
+  (table, keys)
+
+(* Widths 1..130 cover one, two and three lanes; the narrow ones collide
+   often, so false positives are compared as well as true hits.  The
+   scratch set held a wider, larger set before, as in the tree's
+   re-runs. *)
+let prop_tag_set_reference =
+  QCheck.Test.make ~name:"tag set = Bits.key table, widths 1..130" ~count:400 tag_set_input
+    (fun (bits, seed, theirs, mine) ->
+      let theirs = Iset.of_list theirs and mine = Iset.of_list mine in
+      let near = Iset.filter (fun x -> x mod 3 = 0) mine in
+      let count = Array.length theirs + Array.length near in
+      let fn = Strhash.create (Prng.Rng.of_int seed) ~bits in
+      let payload = written_tags ~near fn theirs in
+      let r_ref = Bitio.Bitreader.create payload in
+      let table, _ = key_table r_ref ~bits ~count in
+      let want = Iset.filter (fun x -> Hashtbl.mem table (Bitio.Bits.key (Strhash.apply_int fn x))) mine in
+      let r_new = Bitio.Bitreader.create payload in
+      let got = Basic_intersection.filter_by_tags fn (Basic_intersection.read_tag_keys r_new ~bits ~count) mine in
+      let scratch = Basic_intersection.tags_create () in
+      let wide = Strhash.create (Prng.Rng.of_int (seed + 1)) ~bits:130 in
+      Basic_intersection.read_tags_into scratch
+        (Bitio.Bitreader.create (written_tags wide (Array.init 200 Fun.id)))
+        ~bits:130 ~count:200;
+      let r_scratch = Bitio.Bitreader.create payload in
+      Basic_intersection.read_tags_into scratch r_scratch ~bits ~count;
+      let got_scratch = Iset.filter (Basic_intersection.mem_tag scratch fn) mine in
+      Iset.equal want got
+      && Iset.equal want got_scratch
+      && Bitio.Bitreader.position r_new = Bitio.Bitreader.position r_ref
+      && Bitio.Bitreader.position r_scratch = Bitio.Bitreader.position r_ref)
+
+(* Incremental's arrival-order membership: each of their tags, in the
+   order they arrive, against this side's own tags. *)
+let prop_read_members_reference =
+  QCheck.Test.make ~name:"read_members = Bits.key lookups" ~count:300 tag_set_input
+    (fun (bits, seed, theirs, mine) ->
+      let theirs = Array.of_list theirs and mine = Iset.of_list mine in
+      let count = Array.length theirs in
+      let fn = Strhash.create (Prng.Rng.of_int seed) ~bits in
+      let payload = written_tags fn theirs in
+      let r_ref = Bitio.Bitreader.create payload in
+      let _, keys = key_table r_ref ~bits ~count in
+      let mine_keys = Array.map (fun x -> Bitio.Bits.key (Strhash.apply_int fn x)) mine in
+      let want = Array.map (fun key -> Array.mem key mine_keys) keys in
+      let r_new = Bitio.Bitreader.create payload in
+      let set, found =
+        Basic_intersection.read_members (Basic_intersection.tags_of_set fn mine) r_new ~count
+      in
+      let hits x = Array.mem (Bitio.Bits.key (Strhash.apply_int fn x)) keys in
+      found = want
+      && Iset.equal (Iset.filter hits mine) (Basic_intersection.filter_by_tags fn set mine)
+      && Bitio.Bitreader.position r_new = Bitio.Bitreader.position r_ref)
+
 (* ---------- native-int arithmetic vs the Int64 reference ---------- *)
 
 (* Carter-Wegman against [Modarith]: [create] draws a then b from the
@@ -369,7 +472,9 @@ let test_prime_native_boundary () =
 (* ---------- pinned k = 1024 / 4096 transcripts ---------- *)
 
 (* Cost fields and outputs of fixed-seed runs, recorded before the
-   allocation-free Eq_batch / Strhash / Carter-Wegman paths landed: any
+   allocation-free Eq_batch / Strhash / Carter-Wegman paths landed (the
+   tree-r3, tree-log-star, budgeted, one-round and 66-bit
+   Basic-Intersection cases before the tree's own hot path did): any
    change to a draw, tag, bit, message or round moves one of them. *)
 type pinned = {
   bits : int;
@@ -381,6 +486,16 @@ type pinned = {
   bob_out : int;
   out_sum : int;  (* order-sensitive checksum of Alice's output *)
 }
+
+(* Names beyond the registered ones: the budgeted tree at a factor small
+   enough that stage 1 starts over budget and takes the fallback, and
+   Basic-Intersection at a failure target whose 66-bit tags span two
+   lanes. *)
+let pin_protocol ~name ~k =
+  match name with
+  | "tree-budgeted" -> Tree_protocol.protocol_budgeted ~budget_factor:4 ~k ~r:2 ()
+  | "basic-1e-12" -> Basic_intersection.protocol ~failure:1e-12
+  | name -> Workload.Regress.protocol_of ~name ~k
 
 let pinned_cases =
   [
@@ -396,13 +511,34 @@ let pinned_cases =
     ( "tree-r2", 4096, 2,
       { bits = 231056; messages = 6; rounds = 6; alice_sent = 154966; bob_sent = 76090;
         alice_out = 2048; bob_out = 2048; out_sum = 1053219027 } );
+    ( "tree-r3", 64, 1,
+      { bits = 2693; messages = 8; rounds = 8; alice_sent = 1843; bob_sent = 850;
+        alice_out = 32; bob_out = 32; out_sum = 278098726 } );
+    ( "tree-r3", 4096, 1,
+      { bits = 183502; messages = 10; rounds = 10; alice_sent = 130634; bob_sent = 52868;
+        alice_out = 2048; bob_out = 2048; out_sum = 142424599 } );
+    ( "tree-log-star", 64, 1,
+      { bits = 2474; messages = 10; rounds = 10; alice_sent = 1772; bob_sent = 702;
+        alice_out = 32; bob_out = 32; out_sum = 278098726 } );
+    ( "tree-log-star", 4096, 1,
+      { bits = 167706; messages = 12; rounds = 12; alice_sent = 125807; bob_sent = 41899;
+        alice_out = 2048; bob_out = 2048; out_sum = 142424599 } );
+    ( "tree-budgeted", 4096, 1,
+      { bits = 291986; messages = 6; rounds = 6; alice_sent = 188400; bob_sent = 103586;
+        alice_out = 2048; bob_out = 2048; out_sum = 142424599 } );
+    ( "one-round", 1024, 1,
+      { bits = 81962; messages = 2; rounds = 1; alice_sent = 40981; bob_sent = 40981;
+        alice_out = 512; bob_out = 512; out_sum = 111829151 } );
+    ( "basic-1e-12", 4096, 1,
+      { bits = 540722; messages = 4; rounds = 4; alice_sent = 270361; bob_sent = 270361;
+        alice_out = 2048; bob_out = 2048; out_sum = 142424599 } );
   ]
 
 let test_pinned_transcripts () =
   let universe = 1 lsl 20 in
   List.iter
     (fun (name, k, seed, want) ->
-      let protocol = Workload.Regress.protocol_of ~name ~k in
+      let protocol = pin_protocol ~name ~k in
       let root = Prng.Rng.of_int seed in
       let pair =
         Workload.Setgen.pair_with_overlap (Prng.Rng.with_label root "pin/pair") ~universe ~size_s:k
@@ -436,6 +572,15 @@ let test_pinned_transcripts () =
       field "output checksum" (fun p -> p.out_sum))
     pinned_cases
 
+(* A transport that appends every payload it sends to [wire], so both
+   parties' sends land there in send order. *)
+let recording wire chan =
+  Commsim.Transport.make
+    ~send:(fun payload ->
+      Buffer.add_string wire (Bitio.Bits.key payload);
+      Commsim.Transport.send chan payload)
+    ~recv:(fun () -> Commsim.Transport.recv chan)
+
 (* Eq_batch on its own, in both schedules, with every payload either party
    sends recorded in send order: the digest moves if any tag function is
    derived from a different label or drawn differently, even where the
@@ -446,18 +591,11 @@ let eq_batch_transcript ~k ~sequential =
   let xs = Array.init k (fun _ -> draw ()) in
   let ys = Array.mapi (fun i x -> if i mod 3 = 0 then x else draw ()) xs in
   let wire = Buffer.create 4096 in
-  let recording chan =
-    Commsim.Transport.make
-      ~send:(fun payload ->
-        Buffer.add_string wire (Bitio.Bits.key payload);
-        Commsim.Transport.send chan payload)
-      ~recv:(fun () -> Commsim.Transport.recv chan)
-  in
   let shared = Prng.Rng.of_int 5 in
   let (va, vb), cost =
     Commsim.Two_party.run
-      ~alice:(fun chan -> Eq_batch.run_alice ~sequential shared (recording chan) xs)
-      ~bob:(fun chan -> Eq_batch.run_bob ~sequential shared (recording chan) ys)
+      ~alice:(fun chan -> Eq_batch.run_alice ~sequential shared (recording wire chan) xs)
+      ~bob:(fun chan -> Eq_batch.run_bob ~sequential shared (recording wire chan) ys)
   in
   let count v = Array.fold_left (fun n b -> if b then n + 1 else n) 0 v in
   Printf.sprintf "%d bits, %d messages, %d/%d equal, wire %s" cost.Commsim.Cost.total_bits
@@ -475,6 +613,72 @@ let test_pinned_eq_batch () =
       (300, true, "4022 bits, 154 messages, 100/100 equal, wire 11698ba1e9fad52d9eec8fe596195c48");
       (1500, false, "19087 bits, 12 messages, 500/500 equal, wire 73fd72bd9e3953383914af10015bd8b5");
     ]
+
+(* The tree and Basic-Intersection party runners over the pinned input
+   pairs, every payload recorded: byte-identical wire, outputs, and the
+   tree's failed-leaf and fallback counters. *)
+let party_transcript ~k ~seed run =
+  let universe = 1 lsl 20 in
+  let root = Prng.Rng.of_int seed in
+  let pair =
+    Workload.Setgen.pair_with_overlap (Prng.Rng.with_label root "pin/pair") ~universe ~size_s:k
+      ~size_t:k ~overlap:(k / 2)
+  in
+  let shared = Prng.Rng.with_label root "pin/protocol" in
+  let wire = Buffer.create 4096 in
+  let registry = Obsv.Metrics.create () in
+  let (a, b), cost =
+    Obsv.Metrics.with_registry registry (fun () ->
+        Commsim.Two_party.run
+          ~alice:(fun chan -> run `Alice shared ~universe (recording wire chan) pair.Workload.Setgen.s)
+          ~bob:(fun chan -> run `Bob shared ~universe (recording wire chan) pair.Workload.Setgen.t))
+  in
+  let counter = Obsv.Metrics.counter_value registry in
+  Printf.sprintf "%d bits, %d messages, %d/%d out, %d failed leaves, %d fallbacks, wire %s"
+    cost.Commsim.Cost.total_bits cost.Commsim.Cost.messages (Iset.cardinal a) (Iset.cardinal b)
+    (counter "tree/failed_leaves") (counter "tree/fallbacks")
+    (Digest.to_hex (Digest.string (Buffer.contents wire)))
+
+let tree_run ~budget ~r ~k role rng ~universe chan set =
+  Tree_protocol.run_party ?budget role rng ~universe ~r ~k chan set
+
+let basic_run ~failure role rng ~universe:_ chan set =
+  match role with
+  | `Alice -> Basic_intersection.run_alice rng ~failure chan set
+  | `Bob -> Basic_intersection.run_bob rng ~failure chan set
+
+let party_cases =
+  let tree ~r ~k = (Printf.sprintf "tree r=%d k=%d" r k, k, tree_run ~budget:None ~r ~k) in
+  let log_star k = tree ~r:(max 1 (Iterated_log.log_star k)) ~k in
+  [
+    tree ~r:2 ~k:64;
+    tree ~r:2 ~k:4096;
+    tree ~r:3 ~k:64;
+    tree ~r:3 ~k:4096;
+    log_star 64;
+    log_star 4096;
+    ( "tree r=2 k=4096 over budget", 4096,
+      tree_run ~budget:(Some (4 * 4096 * max 1 (Iterated_log.ilog 2 4096))) ~r:2 ~k:4096 );
+    ("basic 1e-12 k=4096", 4096, basic_run ~failure:1e-12);
+  ]
+
+let pinned_party_wire =
+  [
+    "3119 bits, 6 messages, 32/32 out, 84 failed leaves, 0 fallbacks, wire 97762d92ace376582a9ec0236a1d9b2a";
+    "228610 bits, 6 messages, 2048/2048 out, 5082 failed leaves, 0 fallbacks, wire c2bb9de591dbc88a945426c2e0fa4b11";
+    "2693 bits, 8 messages, 32/32 out, 84 failed leaves, 0 fallbacks, wire 446fc87818580531fb7992a2465d1d46";
+    "183502 bits, 10 messages, 2048/2048 out, 5110 failed leaves, 0 fallbacks, wire 94f475c9206e70a9d1e5f1e67de93d4b";
+    "2474 bits, 10 messages, 32/32 out, 84 failed leaves, 0 fallbacks, wire f28e70b02e5d2bdd7cfc96fb6d678db6";
+    "167706 bits, 12 messages, 2048/2048 out, 5154 failed leaves, 0 fallbacks, wire bc24ed855b248d9a5af46795da2201e2";
+    "291986 bits, 6 messages, 2048/2048 out, 5082 failed leaves, 2 fallbacks, wire cd9ed89e68ba69e9fa7ccac32299023c";
+    "540722 bits, 4 messages, 2048/2048 out, 0 failed leaves, 0 fallbacks, wire ef5cbb7e34910be797a32fcebfc01bc4";
+  ]
+
+let test_pinned_party_wire () =
+  List.iter2
+    (fun (what, k, run) want ->
+      Alcotest.(check string) what want (party_transcript ~k ~seed:1 run))
+    party_cases pinned_party_wire
 
 (* ---------- Bitio.Pool exception path ---------- *)
 
@@ -535,7 +739,9 @@ let () =
           Alcotest.test_case "with_label vs reference" `Quick test_with_label_reference;
           qt prop_prefix_finish_into;
           qt prop_strhash_redraw_create;
+          qt prop_strhash_range;
         ] );
+      ("tag sets", [ qt prop_tag_set_reference; qt prop_read_members_reference ]);
       ( "native",
         [
           qt prop_cw_native;
@@ -546,6 +752,7 @@ let () =
         [
           Alcotest.test_case "bucket k1024, tree-r2 k4096 transcripts" `Quick test_pinned_transcripts;
           Alcotest.test_case "eq_batch wire, both schedules" `Quick test_pinned_eq_batch;
+          Alcotest.test_case "tree and basic wire" `Quick test_pinned_party_wire;
         ] );
       ( "bitio",
         [

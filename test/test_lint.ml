@@ -551,7 +551,7 @@ let () =
         [ Alcotest.test_case "missing .mli" `Quick test_r5_missing_mli ] );
       ( "R6 flight recorder",
         [
-          Alcotest.test_case "flags writes outside session" `Quick
+          Alcotest.test_case "flags non-session writes" `Quick
             test_r6_flags_event_outside_session;
           Alcotest.test_case "exempt in session/obsv" `Quick test_r6_exempt_in_session_and_obsv;
           Alcotest.test_case "reads pass" `Quick test_r6_reads_pass;
@@ -599,7 +599,7 @@ let () =
         [
           Alcotest.test_case "golden json" `Quick test_golden_json_report;
           Alcotest.test_case "golden sarif" `Quick test_golden_sarif_report;
-          Alcotest.test_case "typed analysis deterministic" `Quick
+          Alcotest.test_case "typed pass deterministic" `Quick
             test_typed_analyze_deterministic;
           Alcotest.test_case "repo lints clean" `Quick test_repo_lints_clean;
           Alcotest.test_case "deterministic report" `Quick test_repo_report_deterministic;

@@ -452,7 +452,7 @@ let test_telemetry_derived_fields () =
    check: the stored ratio is derived from the timings as the file prints
    them, ratios within 1e-9 of 1 included. *)
 let prop_telemetry_report_rechecks =
-  QCheck.Test.make ~name:"written telemetry report passes bench-telemetry" ~count:1000
+  QCheck.Test.make ~name:"written report passes bench-telemetry" ~count:1000
     QCheck.(
       pair (float_range 1e3 1e9)
         (oneof [ float_range 0.5 1.2; float_range (1.0 -. 1e-9) (1.0 +. 1e-9) ]))

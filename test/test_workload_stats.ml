@@ -99,7 +99,7 @@ let iset_gen =
 let iset_arb = QCheck.make ~print:(fun a -> QCheck.Print.(array int) a) iset_gen
 
 let prop_iset_algebra =
-  QCheck.Test.make ~name:"set algebra laws (de Morgan on finite sets)" ~count:300
+  QCheck.Test.make ~name:"set algebra laws (de Morgan)" ~count:300
     QCheck.(pair iset_arb iset_arb)
     (fun (a, b) ->
       let open Iset in

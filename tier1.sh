@@ -42,6 +42,7 @@ dune exec bin/intersect_cli.exe -- soak --smoke --trials 12
 dune exec bin/intersect_cli.exe -- trace --protocol bucket -k 64 --seed 1 \
   | "$cli" check
 dune exec bin/intersect_cli.exe -- profile --protocol bucket -k 64 --seed 1 > /dev/null
+dune exec bin/intersect_cli.exe -- profile --protocol tree -k 1024 --seed 1 > /dev/null
 
 # Engine smoke: the theorem-conformance tier (exits non-zero on any
 # envelope violation) and the engine's determinism contract — the conform
@@ -101,8 +102,8 @@ cmp "$tmp/det_a" "$tmp/det_b"
 # smoke matrix must pass its envelopes live (sweep exits non-zero on any
 # violating cell) and read back through the same check, the report must
 # be byte-identical at 1 and 2 worker domains (and so must its telemetry
-# stream), and the bucket k=1024 hot path must not allocate more per trial
-# than the committed seed baseline.
+# stream), and neither the bucket k=1024 nor the tree r=2 k=4096 hot path
+# may allocate more per trial than its committed baseline.
 "$cli" check bench-sweep < BENCH_sweep.json
 dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 1 > "$tmp/sweep_d1"
 dune exec bin/intersect_cli.exe -- sweep --smoke --trials 60 --json --domains 2 > "$tmp/sweep_d2"
